@@ -28,7 +28,7 @@ main(int argc, char **argv)
     // cells; all nine run through the parallel driver.
     const std::vector<BuiltWorkload> built =
         buildPrograms(suitePointers({"pmd", "bloat", "hsqldb"}));
-    std::vector<GridCell> cells;
+    std::vector<Cell> cells;
     for (size_t wi = 0; wi < built.size(); ++wi) {
         rt::ExperimentConfig base;
         base.compiler = core::CompilerConfig::baseline();
@@ -41,14 +41,13 @@ main(int argc, char **argv)
             cells.push_back({wi, std::move(config)});
         }
     }
-    const std::vector<rt::RunMetrics> slots =
-        runCellGrid(built, cells);
+    const auto slots = runCells(built, cells);
 
     size_t slot = 0;
     for (const BuiltWorkload &b : built) {
-        const rt::RunMetrics &mb = slots[slot++];
+        const rt::RunMetrics &mb = slots[slot++][0];
         for (bool adaptive : {false, true}) {
-            const rt::RunMetrics &m = slots[slot++];
+            const rt::RunMetrics &m = slots[slot++][0];
             table.addRow({b.workload->name,
                           adaptive ? "adaptive" : "static",
                           TextTable::fmt(speedupPct(mb, m), 1) + "%",

@@ -32,7 +32,7 @@ main(int argc, char **argv)
                                     200.0, 400.0, 800.0};
     const std::vector<BuiltWorkload> built =
         buildPrograms(suitePointers({"xalan", "hsqldb", "jython"}));
-    std::vector<GridCell> cells;
+    std::vector<Cell> cells;
     for (size_t wi = 0; wi < built.size(); ++wi) {
         rt::ExperimentConfig base;
         base.compiler = core::CompilerConfig::baseline();
@@ -48,8 +48,7 @@ main(int argc, char **argv)
             cells.push_back({wi, std::move(config)});
         }
     }
-    const std::vector<rt::RunMetrics> slots =
-        runCellGrid(built, cells);
+    const auto slots = runCells(built, cells);
 
     for (size_t ri = 0; ri < sweep.size(); ++ri) {
         std::vector<double> speedups;
@@ -58,9 +57,9 @@ main(int argc, char **argv)
         uint64_t overflows = 0;
         int n = 0;
         for (size_t wi = 0; wi < built.size(); ++wi) {
-            const rt::RunMetrics &mb = slots[wi];
+            const rt::RunMetrics &mb = slots[wi][0];
             const rt::RunMetrics &m =
-                slots[built.size() * (1 + ri) + wi];
+                slots[built.size() * (1 + ri) + wi][0];
             speedups.push_back(speedupPct(mb, m));
             sizes += m.avgRegionSize;
             aborts += m.abortPct;

@@ -28,7 +28,7 @@ main(int argc, char **argv)
     // across the parallel driver.
     const std::vector<BuiltWorkload> built = buildPrograms(
         suitePointers({"xalan", "hsqldb", "jython", "bloat"}));
-    std::vector<GridCell> cells;
+    std::vector<Cell> cells;
     for (size_t wi = 0; wi < built.size(); ++wi) {
         rt::ExperimentConfig base;
         base.compiler = core::CompilerConfig::baseline();
@@ -42,14 +42,13 @@ main(int argc, char **argv)
         on.compiler.elideSafepointsInRegions = true;
         cells.push_back({wi, std::move(on)});
     }
-    const std::vector<rt::RunMetrics> slots =
-        runCellGrid(built, cells);
+    const auto slots = runCells(built, cells);
 
     size_t slot = 0;
     for (const BuiltWorkload &b : built) {
-        const rt::RunMetrics &mb = slots[slot++];
-        const rt::RunMetrics &moff = slots[slot++];
-        const rt::RunMetrics &mon = slots[slot++];
+        const rt::RunMetrics &mb = slots[slot++][0];
+        const rt::RunMetrics &moff = slots[slot++][0];
+        const rt::RunMetrics &mon = slots[slot++][0];
         table.addRow({b.workload->name,
                       TextTable::fmt(speedupPct(mb, moff), 1) + "%",
                       TextTable::fmt(speedupPct(mb, mon), 1) + "%"});

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     // the parallel driver; rows assembled serially in suite order.
     const std::vector<BuiltWorkload> built =
         buildPrograms(suitePointers());
-    std::vector<GridCell> cells;
+    std::vector<Cell> cells;
     for (size_t wi = 0; wi < built.size(); ++wi) {
         rt::ExperimentConfig base;
         base.compiler = core::CompilerConfig::baseline();
@@ -41,14 +41,13 @@ main(int argc, char **argv)
         on.compiler = core::CompilerConfig::atomicAggressiveInline();
         cells.push_back({wi, std::move(on)});
     }
-    const std::vector<rt::RunMetrics> slots =
-        runCellGrid(built, cells);
+    const auto slots = runCells(built, cells);
 
     size_t slot = 0;
     for (const BuiltWorkload &b : built) {
-        const rt::RunMetrics &mb = slots[slot++];
-        const rt::RunMetrics &moff = slots[slot++];
-        const rt::RunMetrics &mon = slots[slot++];
+        const rt::RunMetrics &mb = slots[slot++][0];
+        const rt::RunMetrics &moff = slots[slot++][0];
+        const rt::RunMetrics &mon = slots[slot++][0];
         table.addRow({b.workload->name,
                       TextTable::fmt(speedupPct(mb, moff), 1) + "%",
                       TextTable::fmt(speedupPct(mb, mon), 1) + "%",

@@ -10,11 +10,13 @@
 #ifndef AREGION_BENCH_COMMON_HH
 #define AREGION_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -197,36 +199,6 @@ paperConfigs(bool include_grey = false)
     return configs;
 }
 
-/** Per-workload results across configurations. */
-struct WorkloadRuns
-{
-    std::string workload;
-    std::map<std::string, rt::RunMetrics> byConfig;
-};
-
-/** Run one workload under the given configurations. */
-inline WorkloadRuns
-runWorkload(const wl::Workload &w,
-            const std::vector<core::CompilerConfig> &configs,
-            const hw::TimingConfig &timing = hw::TimingConfig::baseline(),
-            const hw::HwConfig &hwc = {})
-{
-    WorkloadRuns runs;
-    runs.workload = w.name;
-    const vm::Program profile_prog = w.build(true);
-    const vm::Program measure_prog = w.build(false);
-    for (const core::CompilerConfig &cc : configs) {
-        rt::ExperimentConfig config;
-        config.compiler = cc;
-        config.timing = timing;
-        config.hw = hwc;
-        runs.byConfig.emplace(
-            cc.name, rt::runExperiment(profile_prog, measure_prog,
-                                       config, w.samples));
-    }
-    return runs;
-}
-
 /** Profile/measure program pair built once per workload so a grid
  *  of experiment cells can share it read-only. */
 struct BuiltWorkload
@@ -269,70 +241,98 @@ suitePointers(const std::vector<std::string> &names)
 }
 
 /** One cell of an experiment grid: an index into the prebuilt
- *  program list plus the full configuration to run it under. */
-struct GridCell
+ *  program list, the configuration to compile and run it under
+ *  (its `timing` is not read), and the timing configs whose results
+ *  the caller reads — empty for functional-only cells. */
+struct Cell
 {
     size_t workload;
     rt::ExperimentConfig config;
+    std::vector<hw::TimingConfig> timings{hw::TimingConfig::baseline()};
 };
 
 /**
- * Run every cell of an experiment grid through the parallel driver
- * (support/parallel.hh). Each cell writes into its own preallocated
- * slot, so the returned vector is in cell order — tables assembled
- * from it are byte-identical no matter how many worker threads ran
- * the grid (AREGION_JOBS only changes wall-clock).
+ * Run an experiment grid through the parallel driver
+ * (support/parallel.hh): every built workload is profiled once, then
+ * each cell compiles against its workload's shared profile and runs
+ * the module once on the machine, fanning the trace out to the
+ * cell's timing models. Result [cell][timing] is in cell order (one
+ * functional-only entry for a cell without timings), so tables
+ * assembled from it are byte-identical whatever AREGION_JOBS is.
  */
-inline std::vector<rt::RunMetrics>
-runCellGrid(const std::vector<BuiltWorkload> &built,
-            const std::vector<GridCell> &cells)
+inline std::vector<std::vector<rt::RunMetrics>>
+runCells(const std::vector<BuiltWorkload> &built,
+         const std::vector<Cell> &cells)
 {
-    std::vector<rt::RunMetrics> slots(cells.size());
+    std::vector<std::optional<vm::Profile>> profiles(built.size());
+    parallel::runGrid(built.size(), [&](size_t i) {
+        profiles[i].emplace(rt::profileProgram(built[i].profile));
+    });
+    std::vector<std::vector<rt::RunMetrics>> slots(cells.size());
     parallel::runGrid(cells.size(), [&](size_t i) {
-        const GridCell &cell = cells[i];
+        const Cell &cell = cells[i];
         const BuiltWorkload &b = built[cell.workload];
-        slots[i] = rt::runExperiment(b.profile, b.measure,
-                                     cell.config,
-                                     b.workload->samples);
+        slots[i] = rt::runFromProfile(*profiles[cell.workload],
+                                      b.measure, cell.config,
+                                      cell.timings,
+                                      b.workload->samples);
     });
     return slots;
 }
 
-/**
- * Parallel counterpart of calling runWorkload() per suite entry:
- * fans workload × configuration cells across the driver, then
- * assembles per-workload results in suite order. `configsFor` lets
- * individual workloads add configurations (Figure 7's grey bar).
- */
-inline std::vector<WorkloadRuns>
-runSuiteGrid(const std::vector<BuiltWorkload> &built,
-             const std::function<std::vector<core::CompilerConfig>(
-                 const wl::Workload &)> &configsFor,
-             const hw::TimingConfig &timing = hw::TimingConfig::baseline(),
-             const hw::HwConfig &hwc = {})
+/** Per-workload results across compiler configurations. */
+struct WorkloadRuns
 {
-    std::vector<GridCell> cells;
-    std::vector<std::vector<std::string>> names(built.size());
+    std::string workload;
+    std::map<std::string, rt::RunMetrics> byConfig;
+};
+
+/**
+ * The suite grid: cells of workload × configsFor(workload), each
+ * reading every config of `timings`. Result [timing][workload] in
+ * suite order (a single functional-only slot when `timings` is
+ * empty). `configsFor` lets individual workloads add configurations
+ * (Figure 7's grey bar).
+ */
+inline std::vector<std::vector<WorkloadRuns>>
+runSuite(const std::vector<BuiltWorkload> &built,
+         const std::function<std::vector<core::CompilerConfig>(
+             const wl::Workload &)> &configsFor,
+         const std::vector<hw::TimingConfig> &timings)
+{
+    std::vector<Cell> cells;
     for (size_t wi = 0; wi < built.size(); ++wi) {
         for (const core::CompilerConfig &cc :
              configsFor(*built[wi].workload)) {
             rt::ExperimentConfig config;
             config.compiler = cc;
-            config.timing = timing;
-            config.hw = hwc;
-            names[wi].push_back(cc.name);
-            cells.push_back({wi, std::move(config)});
+            cells.push_back({wi, std::move(config), timings});
         }
     }
-    std::vector<rt::RunMetrics> slots = runCellGrid(built, cells);
-    std::vector<WorkloadRuns> out(built.size());
-    size_t i = 0;
-    for (size_t wi = 0; wi < built.size(); ++wi) {
-        out[wi].workload = built[wi].workload->name;
-        for (const std::string &name : names[wi])
-            out[wi].byConfig.emplace(name, std::move(slots[i++]));
+    std::vector<std::vector<rt::RunMetrics>> slots = runCells(built, cells);
+    std::vector<std::vector<WorkloadRuns>> out(
+        std::max<size_t>(1, timings.size()),
+        std::vector<WorkloadRuns>(built.size()));
+    for (size_t ci = 0; ci < cells.size(); ++ci) {
+        for (size_t t = 0; t < slots[ci].size(); ++t) {
+            WorkloadRuns &runs = out[t][cells[ci].workload];
+            runs.workload = built[cells[ci].workload].workload->name;
+            runs.byConfig.emplace(cells[ci].config.compiler.name,
+                                  std::move(slots[ci][t]));
+        }
     }
     return out;
+}
+
+/** runSuite with the same configurations for every workload. */
+inline std::vector<std::vector<WorkloadRuns>>
+runSuite(const std::vector<BuiltWorkload> &built,
+         const std::vector<core::CompilerConfig> &configs,
+         const std::vector<hw::TimingConfig> &timings)
+{
+    return runSuite(
+        built, [&](const wl::Workload &) { return configs; },
+        timings);
 }
 
 /** Percentage speedup of `other` over `base` (weighted cycles). */

@@ -20,10 +20,11 @@ int
 main(int argc, char **argv)
 {
     BenchReport report("fig1_motivation", argc, argv);
-    const auto &w = wl::workloadByName("jython");
-    const WorkloadRuns runs = runWorkload(
-        w, {core::CompilerConfig::baseline(),
-            core::CompilerConfig::atomicAggressiveInline()});
+    const WorkloadRuns runs =
+        runSuite(buildPrograms(suitePointers({"jython"})),
+                 {core::CompilerConfig::baseline(),
+                  core::CompilerConfig::atomicAggressiveInline()},
+                 {hw::TimingConfig::baseline()})[0][0];
     const auto &base = runs.byConfig.at("no-atomic");
     const auto &atomic = runs.byConfig.at("atomic+aggr-inline");
 

@@ -36,10 +36,12 @@ main(int argc, char **argv)
     // All workload × configuration cells run through the parallel
     // driver; the table below is assembled serially in suite order,
     // so output is identical whatever AREGION_JOBS is.
-    const std::vector<WorkloadRuns> suite_runs = runSuiteGrid(
-        buildPrograms(suitePointers()), [](const wl::Workload &w) {
+    const std::vector<WorkloadRuns> suite_runs = runSuite(
+        buildPrograms(suitePointers()),
+        [](const wl::Workload &w) {
             return paperConfigs(w.name == "jython");
-        });
+        },
+        {hw::TimingConfig::baseline()})[0];
 
     for (const WorkloadRuns &runs : suite_runs) {
         const std::string &name = runs.workload;

@@ -41,36 +41,23 @@ main(int argc, char **argv)
         hw::TimingConfig::baseline(), hw::TimingConfig::stallBegin(),
         hw::TimingConfig::singleInflight()};
 
-    // Grid: workload × machine × {baseline, atomic+aggr-inline}.
-    // The timing model varies per cell, so this binary builds
-    // GridCells directly instead of going through runSuiteGrid.
-    const std::vector<BuiltWorkload> built =
-        buildPrograms(suitePointers());
-    std::vector<GridCell> cells;
-    for (size_t wi = 0; wi < built.size(); ++wi) {
-        for (const hw::TimingConfig &machine : machines) {
-            for (const core::CompilerConfig &cc :
-                 {core::CompilerConfig::baseline(),
-                  core::CompilerConfig::atomicAggressiveInline()}) {
-                rt::ExperimentConfig config;
-                config.compiler = cc;
-                config.timing = machine;
-                cells.push_back({wi, std::move(config)});
-            }
-        }
-    }
-    const std::vector<rt::RunMetrics> slots =
-        runCellGrid(built, cells);
+    // Grid: workload × {baseline, atomic+aggr-inline}; each cell's
+    // one machine run feeds all three timing models.
+    const auto by_machine = runSuite(
+        buildPrograms(suitePointers()),
+        {core::CompilerConfig::baseline(),
+         core::CompilerConfig::atomicAggressiveInline()},
+        machines);
 
     std::map<int, std::vector<double>> averages;
-    size_t slot = 0;
-    for (const BuiltWorkload &b : built) {
-        const std::string &name = b.workload->name;
+    for (size_t wi = 0; wi < by_machine[0].size(); ++wi) {
+        const std::string &name = by_machine[0][wi].workload;
         std::vector<std::string> row{name};
         for (size_t m = 0; m < machines.size(); ++m) {
-            const rt::RunMetrics &base = slots[slot++];
-            const rt::RunMetrics &atomic = slots[slot++];
-            const double measured = speedupPct(base, atomic);
+            const WorkloadRuns &runs = by_machine[m][wi];
+            const double measured =
+                speedupPct(runs.byConfig.at("no-atomic"),
+                           runs.byConfig.at("atomic+aggr-inline"));
             row.push_back(TextTable::fmt(measured, 1) + "%");
             row.push_back("(" +
                           TextTable::fmt(

@@ -27,14 +27,16 @@ main(int argc, char **argv)
         hw::TimingConfig::twoWideHalf()};
     std::map<int, std::vector<double>> averages;
 
-    for (const auto &w : wl::dacapoSuite()) {
-        std::vector<std::string> row{w.name};
+    // One machine run per (workload, compiler) feeds all three widths.
+    const auto by_machine = runSuite(
+        buildPrograms(suitePointers()),
+        {core::CompilerConfig::baseline(),
+         core::CompilerConfig::atomicAggressiveInline()},
+        machines);
+    for (size_t wi = 0; wi < by_machine[0].size(); ++wi) {
+        std::vector<std::string> row{by_machine[0][wi].workload};
         for (size_t m = 0; m < machines.size(); ++m) {
-            const WorkloadRuns runs = runWorkload(
-                w,
-                {core::CompilerConfig::baseline(),
-                 core::CompilerConfig::atomicAggressiveInline()},
-                machines[m]);
+            const WorkloadRuns &runs = by_machine[m][wi];
             const double s = speedupPct(
                 runs.byConfig.at("no-atomic"),
                 runs.byConfig.at("atomic+aggr-inline"));

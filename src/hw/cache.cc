@@ -1,32 +1,53 @@
 #include "hw/cache.hh"
 
+#include <sys/mman.h>
+
 #include <bit>
+#include <new>
 
 #include "support/logging.hh"
 
 namespace aregion::hw {
 
+Cache::WayArray
+Cache::mapWays(int num_lines, int assoc)
+{
+    AREGION_ASSERT(num_lines % assoc == 0, "lines not divisible");
+    AREGION_ASSERT(num_lines / assoc > 0, "empty cache");
+    const size_t bytes = static_cast<size_t>(num_lines) * sizeof(Way);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return WayArray(static_cast<Way *>(p), UnmapWays{bytes});
+}
+
 Cache::Cache(int num_lines, int assoc_)
     : assoc(assoc_), numSets(num_lines / assoc_),
-      ways(static_cast<size_t>(num_lines))
+      ways(mapWays(num_lines, assoc_))
 {
-    AREGION_ASSERT(num_lines % assoc_ == 0, "lines not divisible");
-    AREGION_ASSERT(numSets > 0, "empty cache");
     const auto sets = static_cast<uint64_t>(numSets);
     setsPow2 = (sets & (sets - 1)) == 0;
     setMask = sets - 1;
 }
 
+void
+Cache::UnmapWays::operator()(Way *p) const
+{
+    munmap(p, bytes);
+}
+
 bool
 Cache::access(uint64_t line)
 {
+    const uint64_t tag = line + 1;
     ++clock;
     const size_t set = setOf(line);
     Way *lru = nullptr;
     for (int w = 0; w < assoc; ++w) {
         Way &way = ways[set * static_cast<size_t>(assoc) +
                         static_cast<size_t>(w)];
-        if (way.line == line) {
+        if (way.tag == tag) {
             way.lastUse = clock;
             ++hits;
             return true;
@@ -35,7 +56,7 @@ Cache::access(uint64_t line)
             lru = &way;
     }
     ++misses;
-    lru->line = line;
+    lru->tag = tag;
     lru->lastUse = clock;
     return false;
 }
@@ -43,20 +64,21 @@ Cache::access(uint64_t line)
 void
 Cache::install(uint64_t line)
 {
+    const uint64_t tag = line + 1;
     ++clock;
     const size_t set = setOf(line);
     Way *lru = nullptr;
     for (int w = 0; w < assoc; ++w) {
         Way &way = ways[set * static_cast<size_t>(assoc) +
                         static_cast<size_t>(w)];
-        if (way.line == line) {
+        if (way.tag == tag) {
             way.lastUse = clock;
             return;
         }
         if (!lru || way.lastUse < lru->lastUse)
             lru = &way;
     }
-    lru->line = line;
+    lru->tag = tag;
     lru->lastUse = clock;
 }
 

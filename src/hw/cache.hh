@@ -12,7 +12,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace aregion::hw {
 
@@ -32,11 +32,29 @@ class Cache
     uint64_t misses = 0;
 
   private:
+    /** An all-zero way is invalid: the tag stores line + 1, so the
+     *  tag array can be fresh anonymous memory that stays untouched
+     *  (not resident) until a set is first used, and goes back to
+     *  the OS with the cache. A 4 MB L2's 1 MB of tags then costs
+     *  only the sets a run reaches, which matters when several
+     *  timing models share one machine run. (A calloc'd array does
+     *  not stay lazy: the allocator recycles freed arrays and must
+     *  zero them, making every page resident.) */
     struct Way
     {
-        uint64_t line = ~0ull;
-        uint64_t lastUse = 0;
+        uint64_t tag;           ///< line + 1; 0 = invalid
+        uint64_t lastUse;
     };
+
+    struct UnmapWays
+    {
+        size_t bytes = 0;
+        void operator()(Way *p) const;
+    };
+    using WayArray = std::unique_ptr<Way[], UnmapWays>;
+
+    /** A fresh all-invalid (all-zero) array of `num_lines` ways. */
+    static WayArray mapWays(int num_lines, int assoc);
 
     /** Set index of a line; the division is a shift/mask whenever
      *  the geometry is a power of two (every Table 1 config is). */
@@ -52,7 +70,7 @@ class Cache
     int numSets;
     bool setsPow2;
     uint64_t setMask;
-    std::vector<Way> ways;      ///< numSets x assoc
+    WayArray ways;              ///< numSets x assoc
     uint64_t clock = 0;
 };
 

@@ -4,10 +4,20 @@
  *
  *   1. first-pass profiling run in the interpreter,
  *   2. profile-driven optimizing compilation (baseline or atomic),
- *   3. machine execution with timing simulation of context 0,
- *   4. marker-delimited sample metrics, weighted per phase,
- *   5. optional adaptive recompilation when abort telemetry exceeds
- *      the controller's threshold (Section 7).
+ *   3. one functional machine run of the compiled module, its uop
+ *      trace fanned out to every requested timing model of context 0
+ *      (none: functional only),
+ *   4. optional adaptive recompilation when abort telemetry exceeds
+ *      the controller's threshold (Section 7), re-running stage 3,
+ *   5. marker-delimited sample metrics, weighted per phase, once per
+ *      timing model.
+ *
+ * Stage 1 is profileProgram(); stages 2-5 are runFromProfile(), so a
+ * driver profiles each workload once and shares the profile
+ * read-only across every compiler configuration it measures. Stage 3
+ * follows the paper's method of one functional simulation driving
+ * separate trace-driven timing simulators. runExperiment() chains
+ * the two stages for one timing config.
  *
  * Profile and measurement inputs may differ (the profile variant of
  * a workload), reproducing profile-drift effects such as pmd's.
@@ -34,7 +44,7 @@ struct ExperimentConfig
 {
     core::CompilerConfig compiler;
     hw::HwConfig hw;
-    hw::TimingConfig timing;
+    hw::TimingConfig timing;    ///< runExperiment only
 
     /** Re-compile with warm overrides when a region's abort rate
      *  exceeds the adaptive controller's threshold, then re-run. */
@@ -63,6 +73,9 @@ struct RunMetrics
 {
     bool completed = false;
 
+    /** Timing fields (cycles, weightedCycles, mispredicts,
+     *  serializations, l1Misses, SampleMetrics::cycles) read 0 on a
+     *  functional-only run; every other field is functional. */
     uint64_t cycles = 0;            ///< whole traced execution
     uint64_t retiredUops = 0;
     uint64_t executedUops = 0;
@@ -101,8 +114,30 @@ struct SampleSpec
     double weight;
 };
 
+/** Stage 1: the interpreter profiling run of `profile_prog`
+ *  (publishes the `profile.*` telemetry). */
+vm::Profile profileProgram(const vm::Program &profile_prog);
+
 /**
- * Run the full pipeline.
+ * Stages 2-5 from an existing profile. The compiled module (and any
+ * adaptive recompile of it) runs once on the functional machine, its
+ * trace feeding one hw::TimingModel per entry of `timings`.
+ * `config.timing` is not read.
+ *
+ * @return one RunMetrics per timing config, in order; with no timing
+ *         configs, one functional-only RunMetrics (samples are then
+ *         delimited by the machine's marker hits alone).
+ */
+std::vector<RunMetrics>
+runFromProfile(const vm::Profile &profile,
+               const vm::Program &measure_prog,
+               const ExperimentConfig &config,
+               const std::vector<hw::TimingConfig> &timings,
+               const std::vector<SampleSpec> &samples = {});
+
+/**
+ * Run the full pipeline under `config.timing`: profileProgram, then
+ * runFromProfile with that one timing config.
  *
  * @param profile_prog program used for the profiling run
  * @param measure_prog program measured (usually the same; differs

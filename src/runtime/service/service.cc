@@ -332,8 +332,7 @@ CompileService::stop()
     if (!stopping.compare_exchange_strong(expected, true)) {
         return;
     }
-    for (auto &shard : shards)
-        shard->cv.notify_all();
+    wakeWorkers();
     for (auto &shard : shards) {
         for (std::thread &t : shard->workers) {
             if (t.joinable())
@@ -366,8 +365,20 @@ void
 CompileService::resumeWorkers()
 {
     paused.store(false);
-    for (auto &shard : shards)
+    wakeWorkers();
+}
+
+void
+CompileService::wakeWorkers()
+{
+    // Taking each shard's lock between the flag store and the notify
+    // closes the lost wake-up: a worker that has evaluated its wait
+    // predicate (still false) holds the lock until it blocks, so the
+    // notify cannot land in that gap.
+    for (auto &shard : shards) {
+        { std::lock_guard<std::mutex> lock(shard->mu); }
         shard->cv.notify_all();
+    }
 }
 
 ServiceStats

@@ -226,6 +226,8 @@ class CompileService
     };
 
     void workerLoop(Shard &shard);
+    /** notify_all every shard after a stopping/paused store. */
+    void wakeWorkers();
     void compileJob(Shard &shard, std::unique_ptr<Job> job);
     void completeWaiters(std::vector<Waiter> &&waiters,
                          CompileStatus originator_status,

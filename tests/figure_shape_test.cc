@@ -35,11 +35,14 @@ suiteRuns()
 {
     static const SuiteRuns runs = [] {
         SuiteRuns out;
-        for (const auto &w : wl::dacapoSuite()) {
-            out.byWorkload.emplace(
-                w.name,
-                runWorkload(w, paperConfigs(w.name == "jython")));
-        }
+        auto suite_runs = runSuite(
+            buildPrograms(suitePointers()),
+            [](const wl::Workload &w) {
+                return paperConfigs(w.name == "jython");
+            },
+            {hw::TimingConfig::baseline()});
+        for (WorkloadRuns &r : suite_runs[0])
+            out.byWorkload.emplace(r.workload, std::move(r));
         return out;
     }();
     return runs;
@@ -98,17 +101,17 @@ TEST(FigureShape, UopReductionTracksFigure8)
 
 TEST(FigureShape, DegradedPrimitivesEraseTheWin)
 {
-    // Figure 9 on the two biggest winners.
-    for (const char *name : {"xalan", "hsqldb"}) {
-        const auto &w = wl::workloadByName(name);
-        const auto chk = runWorkload(
-            w, {core::CompilerConfig::baseline(),
-                core::CompilerConfig::atomicAggressiveInline()},
-            hw::TimingConfig::baseline());
-        const auto stall = runWorkload(
-            w, {core::CompilerConfig::baseline(),
-                core::CompilerConfig::atomicAggressiveInline()},
-            hw::TimingConfig::stallBegin());
+    // Figure 9 on the two biggest winners; each cell's one machine
+    // run feeds both timing models.
+    const auto by_machine = runSuite(
+        buildPrograms(suitePointers({"xalan", "hsqldb"})),
+        {core::CompilerConfig::baseline(),
+         core::CompilerConfig::atomicAggressiveInline()},
+        {hw::TimingConfig::baseline(), hw::TimingConfig::stallBegin()});
+    for (size_t wi = 0; wi < 2; ++wi) {
+        const WorkloadRuns &chk = by_machine[0][wi];
+        const WorkloadRuns &stall = by_machine[1][wi];
+        const std::string &name = chk.workload;
         const double s_chk = speedupPct(
             chk.byConfig.at("no-atomic"),
             chk.byConfig.at("atomic+aggr-inline"));

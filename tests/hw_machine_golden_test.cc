@@ -58,6 +58,17 @@ constexpr GoldenEntry kGolden[] = {
      2163574ull, 12034ull, 11957ull, 77ull, 0x8db6627425f58b8eull},
 };
 
+/**
+ * Print a row as its workload name. Without this, gtest dumps the raw
+ * bytes of the struct, whose first field is a string pointer, so the
+ * listed test IDs changed with every address-space layout.
+ */
+void
+PrintTo(const GoldenEntry &entry, std::ostream *os)
+{
+    *os << entry.workload;
+}
+
 class GoldenWorkload : public ::testing::TestWithParam<GoldenEntry>
 {
 };

@@ -69,6 +69,17 @@ TEST(Cache, HitsAfterInstall)
     EXPECT_EQ(cache.hits, 1u);
 }
 
+TEST(Cache, FreshCacheMissesOnLineZero)
+{
+    // A fresh tag array is all zero bytes; an all-zero way must read
+    // as invalid, not as a resident line 0.
+    hw::Cache cache(64, 4);
+    EXPECT_FALSE(cache.access(0));
+    EXPECT_TRUE(cache.access(0));
+    EXPECT_EQ(cache.misses, 1u);
+    EXPECT_EQ(cache.hits, 1u);
+}
+
 TEST(Cache, LruEvictsWithinSet)
 {
     hw::Cache cache(8, 2);      // 4 sets, 2 ways

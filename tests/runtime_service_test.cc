@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "hw/codegen.hh"
@@ -370,6 +372,26 @@ TEST_F(ServiceTest, ServiceShutdownCompletesQueuedJobs)
             EXPECT_EQ(r.code, nullptr);
         }
     }
+}
+
+TEST_F(ServiceTest, ServiceStopsPromptlyWhenBuiltBackToBack)
+{
+    // stop() and resumeWorkers() store their flag and then notify; a
+    // worker between its wait-predicate check and its block must not
+    // miss that notify, or join() hangs. Start/stop cycles with no
+    // work queued keep workers racing exactly that window.
+    const unsigned hw = std::thread::hardware_concurrency();
+    svc::ServiceConfig cfg;
+    cfg.shards = static_cast<int>(std::clamp(hw, 2u, 5u) - 1);
+    for (int i = 0; i < 500; ++i) {
+        svc::CompileService service(cfg);
+        if (i % 2) {
+            service.pauseWorkers();
+            service.resumeWorkers();
+        }
+        service.stop();
+    }
+    SUCCEED();
 }
 
 TEST_F(ServiceTest, ServicePublishTelemetryIsDeltaBased)

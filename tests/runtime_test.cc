@@ -8,7 +8,9 @@
 #include "programs.hh"
 #include "runtime/jit.hh"
 #include "runtime/sampling.hh"
+#include "support/parallel.hh"
 #include "vm/interpreter.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -158,6 +160,119 @@ TEST(Jit, AdaptiveRecompileReducesAborts)
     EXPECT_LT(after.regionAborts, before.regionAborts / 4);
     EXPECT_LT(after.cycles, before.cycles);
     EXPECT_EQ(after.outputChecksum, before.outputChecksum);
+}
+
+/** A multi-sample suite workload under one experiment config. */
+struct StagedCase
+{
+    const char *workload;
+    rt::ExperimentConfig config;
+};
+
+/** fop (two samples) plain, and pmd (four samples, drifting
+ *  profile) with its asserts repaired by adaptive recompilation. */
+std::vector<StagedCase>
+stagedCases()
+{
+    rt::ExperimentConfig plain;
+    plain.compiler = core::CompilerConfig::atomicAggressiveInline();
+    rt::ExperimentConfig adaptive = plain;
+    adaptive.adaptiveRecompile = true;
+    return {{"fop", plain}, {"pmd", adaptive}};
+}
+
+TEST(Jit, FanOutMatchesOneRunPerTimingConfig)
+{
+    const std::vector<hw::TimingConfig> timings{
+        hw::TimingConfig::baseline(), hw::TimingConfig::stallBegin(),
+        hw::TimingConfig::twoWideHalf()};
+    for (const StagedCase &c : stagedCases()) {
+        SCOPED_TRACE(c.workload);
+        const auto &w = aregion::workloads::workloadByName(c.workload);
+        const Program profile_prog = w.build(true);
+        const Program measure = w.build(false);
+        const vm::Profile profile = rt::profileProgram(profile_prog);
+        const std::vector<rt::RunMetrics> fanned = rt::runFromProfile(
+            profile, measure, c.config, timings, w.samples);
+        ASSERT_EQ(fanned.size(), timings.size());
+        for (size_t t = 0; t < timings.size(); ++t) {
+            SCOPED_TRACE(timings[t].name);
+            rt::ExperimentConfig single = c.config;
+            single.timing = timings[t];
+            const rt::RunMetrics want = rt::runExperiment(
+                profile_prog, measure, single, w.samples);
+            const rt::RunMetrics &got = fanned[t];
+            ASSERT_TRUE(want.completed);
+            EXPECT_EQ(got.recompiled, want.recompiled);
+            EXPECT_EQ(got.cycles, want.cycles);
+            EXPECT_EQ(got.weightedCycles, want.weightedCycles);
+            EXPECT_EQ(got.mispredicts, want.mispredicts);
+            EXPECT_EQ(got.serializations, want.serializations);
+            EXPECT_EQ(got.l1Misses, want.l1Misses);
+            ASSERT_EQ(got.samples.size(), w.samples.size());
+            ASSERT_EQ(got.samples.size(), want.samples.size());
+            for (size_t s = 0; s < got.samples.size(); ++s) {
+                EXPECT_EQ(got.samples[s].beginMarker,
+                          want.samples[s].beginMarker);
+                EXPECT_EQ(got.samples[s].cycles, want.samples[s].cycles);
+                EXPECT_EQ(got.samples[s].uops, want.samples[s].uops);
+            }
+        }
+        // The three machines must actually disagree, or the fan-out
+        // could be feeding one model's numbers to all of them.
+        EXPECT_NE(fanned[0].cycles, fanned[1].cycles);
+        EXPECT_NE(fanned[0].cycles, fanned[2].cycles);
+        EXPECT_EQ(fanned[0].recompiled, c.config.adaptiveRecompile);
+    }
+}
+
+TEST(Jit, FunctionalOnlyRunMatchesTimedRun)
+{
+    for (const StagedCase &c : stagedCases()) {
+        SCOPED_TRACE(c.workload);
+        const auto &w = aregion::workloads::workloadByName(c.workload);
+        const Program profile_prog = w.build(true);
+        const Program measure = w.build(false);
+        const vm::Profile profile = rt::profileProgram(profile_prog);
+        // Both runs share the one profile read-only from two grid
+        // workers, as the bench grids do.
+        std::vector<std::vector<rt::RunMetrics>> runs(2);
+        aregion::parallel::runGrid(2, [&](size_t i) {
+            const std::vector<hw::TimingConfig> timings =
+                i == 0 ? std::vector<hw::TimingConfig>{}
+                       : std::vector<hw::TimingConfig>{
+                             hw::TimingConfig::baseline()};
+            runs[i] = rt::runFromProfile(profile, measure, c.config,
+                                         timings, w.samples);
+        });
+        ASSERT_EQ(runs[0].size(), 1u);
+        ASSERT_EQ(runs[1].size(), 1u);
+        const rt::RunMetrics &fn = runs[0][0];
+        const rt::RunMetrics &timed = runs[1][0];
+        ASSERT_TRUE(fn.completed);
+        EXPECT_EQ(fn.recompiled, timed.recompiled);
+        EXPECT_EQ(fn.retiredUops, timed.retiredUops);
+        EXPECT_EQ(fn.executedUops, timed.executedUops);
+        EXPECT_EQ(fn.weightedUops, timed.weightedUops);
+        EXPECT_EQ(fn.coverage, timed.coverage);
+        EXPECT_EQ(fn.uniqueRegions, timed.uniqueRegions);
+        EXPECT_EQ(fn.avgRegionSize, timed.avgRegionSize);
+        EXPECT_EQ(fn.abortPct, timed.abortPct);
+        EXPECT_EQ(fn.abortsPer1kUops, timed.abortsPer1kUops);
+        EXPECT_EQ(fn.regionEntries, timed.regionEntries);
+        EXPECT_EQ(fn.regionAborts, timed.regionAborts);
+        EXPECT_EQ(fn.monitorFastEnters, timed.monitorFastEnters);
+        EXPECT_EQ(fn.outputChecksum, timed.outputChecksum);
+        ASSERT_EQ(fn.samples.size(), w.samples.size());
+        ASSERT_EQ(fn.samples.size(), timed.samples.size());
+        for (size_t s = 0; s < fn.samples.size(); ++s) {
+            EXPECT_EQ(fn.samples[s].uops, timed.samples[s].uops);
+            EXPECT_EQ(fn.samples[s].cycles, 0u);
+        }
+        EXPECT_EQ(fn.cycles, 0u);
+        EXPECT_EQ(fn.weightedCycles, 0.0);
+        EXPECT_GT(timed.cycles, 0u);
+    }
 }
 
 TEST(Sampling, ClassifiesTwoPhaseTrace)
