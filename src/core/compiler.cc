@@ -55,12 +55,22 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
     // harnesses, tests) gets a jit.compile_us that covers the same
     // work the per-pass jit.pass.* timers break down.
     telemetry::ScopedSpan span("jit.compile");
+    auto &registry = telemetry::Registry::global();
     telemetry::ScopedTimerUs total_timer(
-        telemetry::Registry::global().counter(
-            telemetry::keys::kJitCompileUs));
+        registry.counter(telemetry::keys::kJitCompileUs));
+    // Region-formation time: Algorithm 1 and the passes that only
+    // make sense on regions (SLE, safepoint and post-dominated check
+    // elimination). The scalar cleanups they trigger are timed by
+    // the jit.pass.* counters instead.
+    std::atomic<uint64_t> &region_us =
+        registry.counter(telemetry::keys::kJitRegionUs);
 
+    // One analysis scratch per compile, shared by every pass run
+    // below and freed on return (ir/scratch.hh).
+    ir::PassScratch scratch;
     opt::OptContext ctx = config.opt;
     ctx.profile = &profile;
+    ctx.scratch = &scratch;
     ctx.inlineCalleeLimit = static_cast<int>(
         ctx.inlineCalleeLimit * config.inlineMultiplier);
     ctx.inlineGrowthLimit = static_cast<int>(
@@ -85,7 +95,11 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
     }
 
     Compiled result;
-    result.mod = ir::translateProgram(prog, &profile);
+    {
+        telemetry::ScopedTimerUs timer(
+            registry.counter(telemetry::keys::kJitTranslateUs));
+        result.mod = ir::translateProgram(prog, &profile);
+    }
     opt::optimizeModule(result.mod, ctx);
 
     if (config.atomicRegions) {
@@ -99,7 +113,17 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
                 opt::runScalarPipeline(func, ctx);
                 continue;
             }
-            const RegionStats rs = formRegions(func, config.region);
+            RegionStats rs;
+            SleStats sle;
+            int elided = 0;
+            {
+                telemetry::ScopedTimerUs timer(region_us);
+                rs = formRegions(func, config.region);
+                if (config.sle)
+                    sle = elideLocks(func);
+                if (config.elideSafepointsInRegions)
+                    elided = elideSafepoints(func);
+            }
             result.stats.regions.regionsFormed += rs.regionsFormed;
             result.stats.regions.assertsCreated += rs.assertsCreated;
             result.stats.regions.blocksReplicated +=
@@ -109,30 +133,28 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
                 rs.unrolledRegions;
             if (rs.regionsFormed > 0)
                 result.stats.funcsWithRegions++;
+            result.stats.slePairsElided += sle.pairsElided;
+            result.stats.safepointsElided += elided;
 
             // Only functions these passes actually changed need
             // another scalar sweep — a region-less function is still
             // at the fixpoint optimizeModule left it at.
-            bool needs_cleanup = rs.regionsFormed > 0 ||
-                                 rs.assertsCreated > 0 ||
-                                 rs.blocksReplicated > 0;
-            if (config.sle) {
-                const SleStats sle = elideLocks(func);
-                result.stats.slePairsElided += sle.pairsElided;
-                needs_cleanup |= sle.pairsElided > 0;
-            }
-            if (config.elideSafepointsInRegions) {
-                const int elided = elideSafepoints(func);
-                result.stats.safepointsElided += elided;
-                needs_cleanup |= elided > 0;
-            }
+            const bool needs_cleanup = rs.regionsFormed > 0 ||
+                                       rs.assertsCreated > 0 ||
+                                       rs.blocksReplicated > 0 ||
+                                       sle.pairsElided > 0 ||
+                                       elided > 0;
             // The payoff: the SAME non-speculative scalar passes now
             // optimize the isolated hot path.
             if (needs_cleanup)
                 opt::runScalarPipeline(func, ctx);
 
             if (config.postdomCheckElim) {
-                const int removed = postdomCheckElim(func);
+                int removed;
+                {
+                    telemetry::ScopedTimerUs timer(region_us);
+                    removed = postdomCheckElim(func);
+                }
                 result.stats.postdomChecksRemoved += removed;
                 if (removed > 0)
                     opt::runScalarPipeline(func, ctx);
@@ -142,7 +164,8 @@ compileProgram(const vm::Program &prog, const vm::Profile &profile,
 
     for (auto &[mid, func] : result.mod.funcs) {
         ir::verifyOrDie(func);
-        result.stats.totalInstrs += func.countInstrs();
+        result.stats.totalInstrs += func.countInstrs(scratch);
+        func.shrinkToFit();
     }
     return result;
 }

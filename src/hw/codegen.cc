@@ -172,6 +172,9 @@ Lowerer::lowerInstr(const ir::Instr &in, const ir::Block &blk,
       case Op::Mov:
         emit(mk(MKind::Mov, in.dst, {in.s0()}));
         break;
+      case Op::Phi:
+        AREGION_PANIC("phi in block ", blk.id,
+                      ": codegen lowers only post-destroySSA IR");
 
       case Op::Add: emit(alu(AluOp::Add, in.dst, in.s0(), in.s1())); break;
       case Op::Sub: emit(alu(AluOp::Sub, in.dst, in.s0(), in.s1())); break;

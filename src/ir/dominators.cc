@@ -4,92 +4,68 @@
 
 namespace aregion::ir {
 
-namespace {
-
-/** Graph view used for both dominance directions. */
-struct Graph
-{
-    int numNodes;
-    int root;
-    std::vector<std::vector<int>> succs;
-    std::vector<std::vector<int>> preds;
-};
-
-Graph
-makeGraph(const Function &func, bool post)
-{
-    Graph g;
-    const int n = func.numBlocks();
-    if (!post) {
-        g.numNodes = n;
-        g.root = func.entry;
-        g.succs.resize(static_cast<size_t>(n));
-        g.preds.resize(static_cast<size_t>(n));
-        for (int b = 0; b < n; ++b) {
-            for (int s : func.block(b).succs) {
-                g.succs[static_cast<size_t>(b)].push_back(s);
-                g.preds[static_cast<size_t>(s)].push_back(b);
-            }
-        }
-    } else {
-        // Reversed graph with a virtual exit node (id n) joined from
-        // every Ret block.
-        g.numNodes = n + 1;
-        g.root = n;
-        g.succs.resize(static_cast<size_t>(n) + 1);
-        g.preds.resize(static_cast<size_t>(n) + 1);
-        auto edge = [&](int from, int to) {
-            g.succs[static_cast<size_t>(from)].push_back(to);
-            g.preds[static_cast<size_t>(to)].push_back(from);
-        };
-        for (int b = 0; b < n; ++b) {
-            for (int s : func.block(b).succs)
-                edge(s, b);
-            if (func.block(b).terminator().op == Op::Ret)
-                edge(n, b);
-        }
-    }
-    return g;
-}
-
-} // namespace
-
 DominatorTree::DominatorTree(const Function &func, bool post)
 {
-    const Graph g = makeGraph(func, post);
-    rootBlock = g.root;
+    compute(func, post);
+}
 
-    // Reverse post-order from the root.
-    std::vector<int> rpo;
-    {
-        std::vector<uint8_t> seen(static_cast<size_t>(g.numNodes), 0);
-        std::vector<std::pair<int, size_t>> stack;
-        stack.emplace_back(g.root, 0);
-        seen[static_cast<size_t>(g.root)] = 1;
-        while (!stack.empty()) {
-            auto &[b, next] = stack.back();
-            const auto &succs = g.succs[static_cast<size_t>(b)];
-            if (next < succs.size()) {
-                const int s = succs[next++];
-                if (!seen[static_cast<size_t>(s)]) {
-                    seen[static_cast<size_t>(s)] = 1;
-                    stack.emplace_back(s, 0);
-                }
-            } else {
-                rpo.push_back(b);
-                stack.pop_back();
+void
+DominatorTree::compute(const Function &func, bool post)
+{
+    const int n = func.numBlocks();
+    // Forward: the CFG from the entry. Post: the reversed CFG plus a
+    // virtual exit node (id n) joined from every Ret block.
+    const int num_nodes = post ? n + 1 : n;
+    rootBlock = post ? n : func.entry;
+    auto edges = [&](auto &&edge) {
+        for (int b = 0; b < n; ++b) {
+            for (int s : func.block(b).succs) {
+                if (post)
+                    edge(s, b);
+                else
+                    edge(b, s);
             }
+            if (post && func.block(b).terminator().op == Op::Ret)
+                edge(n, b);
         }
-        std::reverse(rpo.begin(), rpo.end());
-    }
+    };
+    const auto nn = static_cast<size_t>(num_nodes);
+    succs.build(nn, [&](auto &&emit) {
+        edges([&](int from, int to) { emit(from, to); });
+    });
+    preds.build(nn, [&](auto &&emit) {
+        edges([&](int from, int to) { emit(to, from); });
+    });
+    const int root = rootBlock;
 
-    std::vector<int> rpoNum(static_cast<size_t>(g.numNodes), -1);
+    // Reverse post-order from the root (rpoNum doubles as the
+    // visited mark: -2 = seen, then the final number).
+    rpo.clear();
+    rpoNum.assign(nn, -1);
+    stack.clear();
+    stack.emplace_back(root, 0);
+    rpoNum[static_cast<size_t>(root)] = -2;
+    while (!stack.empty()) {
+        auto &[b, next] = stack.back();
+        const std::span<const int> out = succs.of(b);
+        if (next < out.size()) {
+            const int s = out[next++];
+            if (rpoNum[static_cast<size_t>(s)] == -1) {
+                rpoNum[static_cast<size_t>(s)] = -2;
+                stack.emplace_back(s, 0);
+            }
+        } else {
+            rpo.push_back(b);
+            stack.pop_back();
+        }
+    }
+    std::reverse(rpo.begin(), rpo.end());
     for (size_t i = 0; i < rpo.size(); ++i)
         rpoNum[static_cast<size_t>(rpo[i])] = static_cast<int>(i);
 
     // Cooper-Harvey-Kennedy fixed point.
-    idomVec.assign(static_cast<size_t>(g.numNodes), -1);
-    idomVec[static_cast<size_t>(g.root)] = g.root;
+    idomVec.assign(nn, -1);
+    idomVec[static_cast<size_t>(root)] = root;
     auto meet = [&](int a, int b) {
         while (a != b) {
             while (rpoNum[static_cast<size_t>(a)] >
@@ -107,10 +83,10 @@ DominatorTree::DominatorTree(const Function &func, bool post)
     while (changed) {
         changed = false;
         for (int b : rpo) {
-            if (b == g.root)
+            if (b == root)
                 continue;
             int best = -1;
-            for (int p : g.preds[static_cast<size_t>(b)]) {
+            for (int p : preds.of(b)) {
                 if (rpoNum[static_cast<size_t>(p)] == -1 ||
                     idomVec[static_cast<size_t>(p)] == -1) {
                     continue;   // unreachable or unprocessed
@@ -124,24 +100,25 @@ DominatorTree::DominatorTree(const Function &func, bool post)
         }
     }
 
-    // Children lists and preorder numbering for O(1) dominance tests.
-    kids.assign(static_cast<size_t>(g.numNodes), {});
-    for (int b = 0; b < g.numNodes; ++b) {
-        if (b != g.root && idomVec[static_cast<size_t>(b)] != -1)
-            kids[static_cast<size_t>(idomVec[
-                static_cast<size_t>(b)])].push_back(b);
-    }
-    idomVec[static_cast<size_t>(g.root)] = -1;
+    // Children lists (CSR, ascending ids) and preorder numbering for
+    // O(1) dominance tests.
+    kids.build(nn, [&](auto &&emit) {
+        for (size_t b = 0; b < nn; ++b) {
+            if (static_cast<int>(b) != root && idomVec[b] != -1)
+                emit(idomVec[b], static_cast<int>(b));
+        }
+    });
+    idomVec[static_cast<size_t>(root)] = -1;
 
-    dfnum.assign(static_cast<size_t>(g.numNodes), -1);
-    dfLast.assign(static_cast<size_t>(g.numNodes), -1);
+    dfnum.assign(nn, -1);
+    dfLast.assign(nn, -1);
     int counter = 0;
-    std::vector<std::pair<int, size_t>> stack;
-    stack.emplace_back(g.root, 0);
-    dfnum[static_cast<size_t>(g.root)] = counter++;
+    stack.clear();
+    stack.emplace_back(root, 0);
+    dfnum[static_cast<size_t>(root)] = counter++;
     while (!stack.empty()) {
         auto &[b, next] = stack.back();
-        const auto &children_of = kids[static_cast<size_t>(b)];
+        const std::span<const int> children_of = children(b);
         if (next < children_of.size()) {
             const int c = children_of[next++];
             dfnum[static_cast<size_t>(c)] = counter++;
@@ -169,10 +146,10 @@ DominatorTree::dominates(int a, int b) const
     return da <= db && db <= dfLast[static_cast<size_t>(a)];
 }
 
-const std::vector<int> &
+std::span<const int>
 DominatorTree::children(int block) const
 {
-    return kids[static_cast<size_t>(block)];
+    return kids.of(block);
 }
 
 bool
@@ -181,28 +158,13 @@ DominatorTree::reachable(int block) const
     return dfnum[static_cast<size_t>(block)] != -1;
 }
 
-std::vector<int>
-DominatorTree::preorder() const
-{
-    std::vector<int> order(dfnum.size(), -1);
-    std::vector<int> result;
-    for (size_t b = 0; b < dfnum.size(); ++b) {
-        if (dfnum[b] != -1)
-            order[static_cast<size_t>(dfnum[b])] = static_cast<int>(b);
-    }
-    for (int b : order) {
-        if (b != -1)
-            result.push_back(b);
-    }
-    return result;
-}
-
-std::vector<std::vector<int>>
-dominanceFrontiers(const Function &func, const DominatorTree &doms)
+void
+DominanceFrontiers::compute(const Function &func,
+                            const DominatorTree &doms,
+                            const PredLists &preds)
 {
     const int n = func.numBlocks();
-    std::vector<std::vector<int>> df(static_cast<size_t>(n));
-    const auto preds = func.computePreds();
+    pairs.clear();
     for (int b = 0; b < n; ++b) {
         if (!doms.reachable(b))
             continue;
@@ -210,27 +172,28 @@ dominanceFrontiers(const Function &func, const DominatorTree &doms)
         // function-entry edge), so any real edge into it makes it a
         // join; nothing strictly dominates the entry.
         int reachablePreds = b == func.entry ? 1 : 0;
-        for (int p : preds[static_cast<size_t>(b)]) {
+        for (int p : preds.of(b)) {
             if (doms.reachable(p))
                 ++reachablePreds;
         }
         if (reachablePreds < 2)
             continue;
-        for (int p : preds[static_cast<size_t>(b)]) {
+        for (int p : preds.of(b)) {
             if (!doms.reachable(p))
                 continue;
             int runner = p;
             while (runner != doms.idom(b)) {
-                df[static_cast<size_t>(runner)].push_back(b);
+                pairs.emplace_back(runner, b);
                 runner = doms.idom(runner);
             }
         }
     }
-    for (auto &set : df) {
-        std::sort(set.begin(), set.end());
-        set.erase(std::unique(set.begin(), set.end()), set.end());
-    }
-    return df;
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    build(static_cast<size_t>(n), [&](auto &&emit) {
+        for (const auto &[owner, join] : pairs)
+            emit(owner, join);
+    });
 }
 
 } // namespace aregion::ir

@@ -89,6 +89,9 @@ Evaluator::execute(const Instr &in, bool &advanced)
       case Op::Mov:
         reg(in.dst) = reg(in.s0());
         break;
+      case Op::Phi:
+        AREGION_PANIC("phi in ", frame.func->name,
+                      ": the evaluator runs only post-destroySSA IR");
       case Op::Add:
         reg(in.dst) = arith::javaAdd(reg(in.s0()), reg(in.s1()));
         break;

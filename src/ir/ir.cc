@@ -1,7 +1,9 @@
 #include "ir/ir.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+
+#include "ir/scratch.hh"
 
 namespace aregion::ir {
 
@@ -174,57 +176,93 @@ isRegionEntryBlock(const Block &blk)
            blk.instrs[lead].op == Op::AtomicBegin;
 }
 
+namespace {
+
+void
+appendInt(std::string &out, int64_t v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void
+appendVreg(std::string &out, const char *lead, Vreg v)
+{
+    out += lead;
+    out += 'v';
+    appendInt(out, v);
+}
+
+} // namespace
+
 std::string
 Instr::toString() const
 {
-    std::ostringstream os;
-    if (dst != NO_VREG)
-        os << "v" << dst << " = ";
-    os << opName(op);
+    std::string out;
+    appendTo(out);
+    return out;
+}
+
+void
+Instr::appendTo(std::string &out) const
+{
+    if (dst != NO_VREG) {
+        appendVreg(out, "", dst);
+        out += " = ";
+    }
+    out += opName(op);
     if (op == Op::Phi) {
         for (size_t i = 0; i < srcs.size(); ++i) {
             const int from =
                 i < phiBlocks.size() ? phiBlocks[i] : -1;
-            os << (i ? ", " : " ") << "[v" << srcs[i] << ", b"
-               << from << "]";
+            appendVreg(out, i ? ", [" : " [", srcs[i]);
+            out += ", b";
+            appendInt(out, from);
+            out += ']';
         }
-        return os.str();
+        return;
     }
     for (Vreg s : srcs)
-        os << " v" << s;
+        appendVreg(out, " ", s);
     switch (op) {
       case Op::Const:
       case Op::LoadRaw:
       case Op::StoreRaw:
       case Op::Marker:
-        os << " #" << imm;
+        out += " #";
+        appendInt(out, imm);
         break;
       default:
         break;
     }
+    const char *label = nullptr;
     switch (op) {
       case Op::LoadField: case Op::StoreField:
-        os << " field=" << aux;
+        label = " field=";
         break;
       case Op::NewObject: case Op::LoadSubtype:
-        os << " class=" << aux;
+        label = " class=";
         break;
       case Op::CallStatic: case Op::Spawn:
-        os << " method=" << aux;
+        label = " method=";
         break;
       case Op::CallVirtual:
-        os << " slot=" << aux;
+        label = " slot=";
         break;
       case Op::AtomicBegin: case Op::AtomicEnd:
-        os << " region=" << aux;
+        label = " region=";
         break;
       case Op::Assert:
-        os << " abort=" << aux;
+        label = " abort=";
         break;
       default:
         break;
     }
-    return os.str();
+    if (label) {
+        out += label;
+        appendInt(out, aux);
+    }
 }
 
 Block &
@@ -250,6 +288,65 @@ Function::block(int id) const
     return *blocksVec[static_cast<size_t>(id)];
 }
 
+namespace {
+
+/** Iterative post-order DFS from the entry, then reversed. */
+void
+rpoInto(const Function &func, std::vector<int> &order,
+        std::vector<uint8_t> &seen,
+        std::vector<std::pair<int, size_t>> &stack)
+{
+    order.clear();
+    seen.assign(static_cast<size_t>(func.numBlocks()), 0);
+    stack.clear();
+    stack.emplace_back(func.entry, 0);
+    seen[static_cast<size_t>(func.entry)] = 1;
+    while (!stack.empty()) {
+        auto &[b, next] = stack.back();
+        const Block &blk = func.block(b);
+        if (next < blk.succs.size()) {
+            const int s = blk.succs[next++];
+            if (!seen[static_cast<size_t>(s)]) {
+                seen[static_cast<size_t>(s)] = 1;
+                stack.emplace_back(s, 0);
+            }
+        } else {
+            order.push_back(b);
+            stack.pop_back();
+        }
+    }
+    std::reverse(order.begin(), order.end());
+}
+
+/** compact()'s reused buffers. */
+struct CompactState
+{
+    RpoBuffer rpo;
+    std::vector<int> remap;
+    std::vector<std::unique_ptr<Block>> next;
+    std::vector<int> regionRemap;
+};
+
+} // namespace
+
+const std::vector<int> &
+RpoBuffer::compute(const Function &func)
+{
+    rpoInto(func, order, seen, stack);
+    return order;
+}
+
+void
+PredLists::compute(const Function &func)
+{
+    build(static_cast<size_t>(func.numBlocks()), [&](auto &&emit) {
+        for (int b = 0; b < func.numBlocks(); ++b) {
+            for (int s : func.block(b).succs)
+                emit(s, b);
+        }
+    });
+}
+
 std::vector<std::vector<int>>
 Function::computePreds() const
 {
@@ -266,47 +363,63 @@ std::vector<int>
 Function::reversePostOrder() const
 {
     std::vector<int> order;
-    std::vector<uint8_t> state(static_cast<size_t>(numBlocks()), 0);
-    // Iterative post-order DFS, then reverse.
+    std::vector<uint8_t> seen;
     std::vector<std::pair<int, size_t>> stack;
-    stack.emplace_back(entry, 0);
-    state[static_cast<size_t>(entry)] = 1;
-    while (!stack.empty()) {
-        auto &[b, next] = stack.back();
-        const Block &blk = block(b);
-        if (next < blk.succs.size()) {
-            const int s = blk.succs[next++];
-            if (!state[static_cast<size_t>(s)]) {
-                state[static_cast<size_t>(s)] = 1;
-                stack.emplace_back(s, 0);
-            }
-        } else {
-            order.push_back(b);
-            stack.pop_back();
-        }
-    }
-    std::reverse(order.begin(), order.end());
+    rpoInto(*this, order, seen, stack);
     return order;
 }
 
 int
 Function::countInstrs() const
 {
+    PassScratch scratch;
+    return countInstrs(scratch);
+}
+
+int
+Function::countInstrs(PassScratch &scratch) const
+{
+    // A state type of its own: callers may be walking another
+    // RpoBuffer of the same scratch.
+    struct CountState
+    {
+        RpoBuffer rpo;
+    };
     int total = 0;
-    for (int b : reversePostOrder())
+    for (int b : scratch.get<CountState>().rpo.compute(*this))
         total += static_cast<int>(block(b).instrs.size());
     return total;
+}
+
+void
+Function::shrinkToFit()
+{
+    blocksVec.shrink_to_fit();
+    for (auto &blk : blocksVec) {
+        if (blk->instrs.capacity() > blk->instrs.size())
+            blk->instrs.shrink_to_fit();
+    }
 }
 
 std::vector<int>
 Function::compact()
 {
-    const std::vector<int> order = reversePostOrder();
-    std::vector<int> remap(static_cast<size_t>(numBlocks()), -1);
+    PassScratch scratch;
+    return compact(scratch);
+}
+
+const std::vector<int> &
+Function::compact(PassScratch &scratch)
+{
+    CompactState &st = scratch.get<CompactState>();
+    const std::vector<int> &order = st.rpo.compute(*this);
+    std::vector<int> &remap = st.remap;
+    remap.assign(static_cast<size_t>(numBlocks()), -1);
     for (size_t i = 0; i < order.size(); ++i)
         remap[static_cast<size_t>(order[i])] = static_cast<int>(i);
 
-    std::vector<std::unique_ptr<Block>> next;
+    std::vector<std::unique_ptr<Block>> &next = st.next;
+    next.clear();
     next.reserve(order.size());
     for (int old_id : order) {
         auto blk = std::move(blocksVec[static_cast<size_t>(old_id)]);
@@ -335,39 +448,51 @@ Function::compact()
         }
         next.push_back(std::move(blk));
     }
-    blocksVec = std::move(next);
+    // The unreachable blocks left behind in blocksVec are freed here.
+    blocksVec.swap(next);
+    next.clear();
     entry = remap[static_cast<size_t>(entry)];
 
-    std::vector<RegionInfo> kept;
+    // Drop regions whose entry died, then renumber the survivors
+    // densely (in order) and fix block tags plus the ids stored
+    // inside AtomicBegin/AtomicEnd instructions.
+    int max_region = -1;
+    for (const RegionInfo &r : regions)
+        max_region = std::max(max_region, r.id);
+    std::vector<int> &region_remap = st.regionRemap;
+    region_remap.assign(static_cast<size_t>(max_region + 1), -1);
+    size_t kept = 0;
     for (RegionInfo &r : regions) {
         const int e = remap[static_cast<size_t>(r.entryBlock)];
         if (e == -1)
             continue;
+        AREGION_ASSERT(r.id >= 0, "region without an id survived");
         r.entryBlock = e;
         AREGION_ASSERT(remap[static_cast<size_t>(r.altBlock)] != -1,
                        "region alt block died while entry survived");
         r.altBlock = remap[static_cast<size_t>(r.altBlock)];
-        kept.push_back(r);
+        region_remap[static_cast<size_t>(r.id)] =
+            static_cast<int>(kept);
+        r.id = static_cast<int>(kept);
+        if (&regions[kept] != &r)
+            regions[kept] = std::move(r);
+        ++kept;
     }
-    // Renumber region ids densely and fix block tags plus the ids
-    // stored inside AtomicBegin/AtomicEnd instructions.
-    std::map<int, int> region_remap;
-    for (size_t i = 0; i < kept.size(); ++i) {
-        region_remap[kept[i].id] = static_cast<int>(i);
-        kept[i].id = static_cast<int>(i);
-    }
-    regions = std::move(kept);
+    regions.resize(kept);
+    auto new_region = [&](int old_id) {
+        return old_id >= 0 && old_id <= max_region
+                   ? region_remap[static_cast<size_t>(old_id)]
+                   : -1;
+    };
     for (auto &blk : blocksVec) {
-        if (blk->regionId >= 0) {
-            auto it = region_remap.find(blk->regionId);
-            blk->regionId = it == region_remap.end() ? -1 : it->second;
-        }
+        if (blk->regionId >= 0)
+            blk->regionId = new_region(blk->regionId);
         for (Instr &in : blk->instrs) {
             if (in.op == Op::AtomicBegin || in.op == Op::AtomicEnd) {
-                auto it = region_remap.find(in.aux);
-                AREGION_ASSERT(it != region_remap.end(),
+                const int mapped = new_region(in.aux);
+                AREGION_ASSERT(mapped != -1,
                                "atomic op for dropped region survived");
-                in.aux = it->second;
+                in.aux = mapped;
             }
         }
     }

@@ -116,6 +116,7 @@ bool isLoad(Op op);
 bool hasSideEffect(Op op);
 
 struct Block;
+class PassScratch;
 
 /** Index of the block's first instruction that is not a Phi, Mov, or
  *  Const. A region entry block is [phis*, copies*, AtomicBegin,
@@ -151,6 +152,9 @@ struct Instr
     Vreg s2() const { return srcs.at(2); }
 
     std::string toString() const;
+
+    /** Append toString()'s text to `out` (no temporary strings). */
+    void appendTo(std::string &out) const;
 };
 
 /** A basic block. */
@@ -233,6 +237,7 @@ class Function
 
     /** Sum of instruction counts over reachable blocks. */
     int countInstrs() const;
+    int countInstrs(PassScratch &scratch) const;
 
     /**
      * Drop unreachable blocks and renumber survivors in RPO order,
@@ -240,6 +245,16 @@ class Function
      * entry died are dropped). Returns old-id -> new-id (-1 if gone).
      */
     std::vector<int> compact();
+
+    /** compact() with its buffers in `scratch`; the returned map
+     *  lives there until the next compaction. */
+    const std::vector<int> &compact(PassScratch &scratch);
+
+    /** Release spare capacity of the block list and of every block's
+     *  instruction list. Passes edit these in place and keep their
+     *  peak capacity; a function that outlives its compile (a code
+     *  cache entry) should not. */
+    void shrinkToFit();
 
   private:
     std::vector<std::unique_ptr<Block>> blocksVec;

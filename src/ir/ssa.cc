@@ -1,10 +1,11 @@
 #include "ir/ssa.hh"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
+#include <tuple>
 
 #include "ir/dominators.hh"
+#include "ir/scratch.hh"
 #include "support/bitset.hh"
 
 namespace aregion::ir {
@@ -29,67 +30,107 @@ phiCount(const Block &blk)
  * and a phi's dst is an ordinary def at the head of its block. This
  * is the convention under which SSA interference is exact; for
  * non-SSA functions (no phis) it degenerates to textbook liveness.
+ * The rows are borrowed from the compile's DataflowRows and stay
+ * valid until the next analysis refills them.
  */
 struct Liveness
 {
-    std::vector<DenseBitset> liveIn, liveOut;
+    const std::vector<DenseBitset> *liveIn = nullptr;
+    const std::vector<DenseBitset> *liveOut = nullptr;
+    /** Per block: upward-exposed uses, defs, and phi-edge uses (for
+     *  each pred block, the names its outgoing edges feed into
+     *  successor phis). Sparse lists: only the two result sets need
+     *  a full row per block. */
+    Csr<Vreg> uses, defs, edgeUses;
+    std::vector<int> defStamp;      ///< block that last defined a name
+    DenseBitset out, in;
+    RpoBuffer rpo;
 
-    Liveness(const Function &func)
+    bool
+    isLiveIn(int b, Vreg v) const
     {
-        const int nb = func.numBlocks();
+        return (*liveIn)[static_cast<size_t>(b)].test(
+            static_cast<size_t>(v));
+    }
+
+    bool
+    isLiveOut(int b, Vreg v) const
+    {
+        return (*liveOut)[static_cast<size_t>(b)].test(
+            static_cast<size_t>(v));
+    }
+
+    void
+    compute(const Function &func, DataflowRows &rows)
+    {
+        const auto nb = static_cast<size_t>(func.numBlocks());
         const size_t nv = static_cast<size_t>(func.numVregs());
-        liveIn.assign(static_cast<size_t>(nb), DenseBitset(nv));
-        liveOut.assign(static_cast<size_t>(nb), DenseBitset(nv));
-
-        // Upward-exposed uses and defs per block.
-        std::vector<DenseBitset> use(static_cast<size_t>(nb),
-                                     DenseBitset(nv));
-        std::vector<DenseBitset> def(static_cast<size_t>(nb),
-                                     DenseBitset(nv));
-        // Phi-edge uses: for each pred block, names its outgoing
-        // edges feed into successor phis.
-        std::vector<DenseBitset> edgeUse(static_cast<size_t>(nb),
-                                         DenseBitset(nv));
-        for (int b = 0; b < nb; ++b) {
-            const Block &blk = func.block(b);
-            auto &u = use[static_cast<size_t>(b)];
-            auto &d = def[static_cast<size_t>(b)];
-            for (const Instr &in : blk.instrs) {
-                if (in.op == Op::Phi) {
-                    for (size_t i = 0; i < in.srcs.size(); ++i) {
-                        edgeUse[static_cast<size_t>(in.phiBlocks[i])]
-                            .set(static_cast<size_t>(in.srcs[i]));
+        uses.build(nb, [&](auto &&emit) {
+            defStamp.assign(nv, -1);
+            for (int b = 0; b < func.numBlocks(); ++b) {
+                for (const Instr &in : func.block(b).instrs) {
+                    if (in.op != Op::Phi) {
+                        for (Vreg s : in.srcs) {
+                            if (defStamp[static_cast<size_t>(s)] != b)
+                                emit(b, s);
+                        }
                     }
-                } else {
-                    for (Vreg s : in.srcs) {
-                        if (!d.test(static_cast<size_t>(s)))
-                            u.set(static_cast<size_t>(s));
-                    }
+                    if (in.dst != NO_VREG)
+                        defStamp[static_cast<size_t>(in.dst)] = b;
                 }
-                if (in.dst != NO_VREG)
-                    d.set(static_cast<size_t>(in.dst));
             }
-        }
+        });
+        defs.build(nb, [&](auto &&emit) {
+            for (int b = 0; b < func.numBlocks(); ++b) {
+                for (const Instr &in : func.block(b).instrs) {
+                    if (in.dst != NO_VREG)
+                        emit(b, in.dst);
+                }
+            }
+        });
+        edgeUses.build(nb, [&](auto &&emit) {
+            for (int b = 0; b < func.numBlocks(); ++b) {
+                for (const Instr &in : func.block(b).instrs) {
+                    if (in.op != Op::Phi)
+                        continue;
+                    for (size_t i = 0; i < in.srcs.size(); ++i)
+                        emit(in.phiBlocks[i], in.srcs[i]);
+                }
+            }
+        });
 
-        // Backward fixpoint over reverse RPO.
-        const auto rpo = func.reversePostOrder();
+        std::vector<DenseBitset> &live_in = rows.sets[0];
+        std::vector<DenseBitset> &live_out = rows.sets[1];
+        support::resetRows(live_in, nb, nv);
+        support::resetRows(live_out, nb, nv);
+        liveIn = &live_in;
+        liveOut = &live_out;
+
+        // Backward fixpoint over reverse RPO:
+        // out = edge uses + live-in of succs, in = out - defs + uses.
+        const std::vector<int> &order = rpo.compute(func);
         bool dirty = true;
         while (dirty) {
             dirty = false;
-            for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
+            for (auto it = order.rbegin(); it != order.rend(); ++it) {
                 const int b = *it;
-                DenseBitset out = edgeUse[static_cast<size_t>(b)];
+                const auto bi = static_cast<size_t>(b);
+                out.reset(nv);
+                for (Vreg v : edgeUses.of(b))
+                    out.set(static_cast<size_t>(v));
                 for (int s : func.block(b).succs)
-                    out.unite(liveIn[static_cast<size_t>(s)]);
-                DenseBitset in = out;
-                in.subtract(def[static_cast<size_t>(b)]);
-                in.unite(use[static_cast<size_t>(b)]);
-                if (!(out == liveOut[static_cast<size_t>(b)])) {
-                    liveOut[static_cast<size_t>(b)] = std::move(out);
+                    out.unite(live_in[static_cast<size_t>(s)]);
+                in = out;
+                for (Vreg v : defs.of(b))
+                    in.clear(static_cast<size_t>(v));
+                for (Vreg v : uses.of(b))
+                    in.set(static_cast<size_t>(v));
+                if (!(out == live_out[bi])) {
+                    live_out[bi] = out;
                     dirty = true;
                 }
-                if (!(in == liveIn[static_cast<size_t>(b)])) {
-                    liveIn[static_cast<size_t>(b)] = std::move(in);
+                if (!(in == live_in[bi])) {
+                    live_in[bi] = in;
                     dirty = true;
                 }
             }
@@ -97,17 +138,139 @@ struct Liveness
     }
 };
 
+/** Union-find over SSA names with class member lists and the entry
+ *  initial-value kind: kNone (has a def), kZero (implicit zero),
+ *  or an argument index. Classes with conflicting kinds never
+ *  merge. Member lists are linked through `nextMember` (a class's
+ *  members in merge order: first the surviving root's, then the
+ *  absorbed one's). */
+struct PhiWebs
+{
+    static constexpr int kNone = -2;
+    static constexpr int kZero = -1;
+
+    std::vector<int> parent;
+    std::vector<int> kind;
+    std::vector<int> firstMember, lastMember, nextMember;
+
+    void
+    reset(int n)
+    {
+        parent.resize(static_cast<size_t>(n));
+        std::iota(parent.begin(), parent.end(), 0);
+        kind.assign(static_cast<size_t>(n), kNone);
+        firstMember.assign(parent.begin(), parent.end());
+        lastMember.assign(parent.begin(), parent.end());
+        nextMember.assign(static_cast<size_t>(n), -1);
+    }
+
+    int
+    find(int x)
+    {
+        while (parent[static_cast<size_t>(x)] != x) {
+            parent[static_cast<size_t>(x)] =
+                parent[static_cast<size_t>(
+                    parent[static_cast<size_t>(x)])];
+            x = parent[static_cast<size_t>(x)];
+        }
+        return x;
+    }
+
+    /** Merge root rb's class into root ra's. */
+    void
+    absorb(int ra, int rb)
+    {
+        parent[static_cast<size_t>(rb)] = ra;
+        nextMember[static_cast<size_t>(
+            lastMember[static_cast<size_t>(ra)])] =
+            firstMember[static_cast<size_t>(rb)];
+        lastMember[static_cast<size_t>(ra)] =
+            lastMember[static_cast<size_t>(rb)];
+        firstMember[static_cast<size_t>(rb)] = -1;
+    }
+
+    void
+    grow()
+    {
+        const int id = static_cast<int>(parent.size());
+        parent.push_back(id);
+        kind.push_back(kNone);
+        firstMember.push_back(id);
+        lastMember.push_back(id);
+        nextMember.push_back(-1);
+    }
+};
+
+/** One pending phi copy: class(dstName) := class(srcName) on the
+ *  edge pred -> target. */
+struct EdgeCopy
+{
+    Vreg dst;
+    Vreg src;
+};
+
+/** An EdgeCopy keyed by its edge and its collection order, so one
+ *  sort groups copies per edge in (pred, target) order. */
+struct PendingCopy
+{
+    int pred;
+    int target;
+    int seq;
+    EdgeCopy copy;
+};
+
+/** One block of buildSSA's dominator-tree renaming walk. */
+struct RenameFrame
+{
+    int block;
+    size_t child = 0;
+    size_t undoMark = 0;
+    bool entered = false;
+};
+
+/** Everything buildSSA and destroySSA allocate. Sized by the
+ *  function's names, so it lives for one scalar pipeline run
+ *  (PassScratch::getForFunction): the run's buildSSA and destroySSA
+ *  share it. */
+struct SsaState
+{
+    Liveness live;
+    DominatorTree doms;
+    PredLists preds;
+    DominanceFrontiers df;
+    RpoBuffer rpo;
+
+    // buildSSA
+    Csr<int> defBlocks;                             ///< vreg -> blocks
+    std::vector<int> lastDefBlock;
+    std::vector<std::pair<int, Vreg>> phiSites;     ///< (block, vreg)
+    std::vector<int> placed, onList, worklist;
+    std::vector<Vreg> current;
+    std::vector<std::pair<Vreg, Vreg>> undo;        ///< (orig, previous)
+    std::vector<RenameFrame> walk;
+
+    // destroySSA
+    std::vector<Vreg> subst;
+    std::vector<int> defBlock, defIndex;            ///< -1 index = at entry
+    std::vector<uint8_t> hasDef;
+    PhiWebs webs;
+    std::vector<PendingCopy> pending;
+    std::vector<EdgeCopy> copies;
+    std::vector<Instr> movs;
+    std::vector<Vreg> classReg;
+};
+
 /** Ensure the entry block has no predecessors: the implicit
  *  function-entry edge cannot host phi inputs, so loops back to the
  *  entry get a fresh pre-entry block. */
 void
-normalizeEntry(Function &func)
+normalizeEntry(Function &func, PassScratch &scratch, PredLists &preds)
 {
-    const auto preds = func.computePreds();
-    if (preds[static_cast<size_t>(func.entry)].empty())
+    preds.compute(func);
+    if (preds.count(func.entry) == 0)
         return;
     double entryExec = func.block(func.entry).execCount;
-    for (int p : preds[static_cast<size_t>(func.entry)]) {
+    for (int p : preds.of(func.entry)) {
         const Block &pb = func.block(p);
         for (size_t k = 0; k < pb.succs.size(); ++k) {
             if (pb.succs[k] == func.entry && k < pb.succCount.size())
@@ -122,7 +285,7 @@ normalizeEntry(Function &func)
     pre.execCount = std::max(0.0, entryExec);
     pre.succCount = {pre.execCount};
     func.entry = pre.id;
-    func.compact();
+    func.compact(scratch);
 }
 
 } // namespace
@@ -130,101 +293,112 @@ normalizeEntry(Function &func)
 void
 buildSSA(Function &func)
 {
+    PassScratch scratch;
+    buildSSA(func, scratch);
+}
+
+void
+buildSSA(Function &func, PassScratch &scratch)
+{
     AREGION_ASSERT(!func.ssaForm, "buildSSA on SSA function ",
                    func.name);
-    func.compact();
-    normalizeEntry(func);
+    SsaState &st = scratch.getForFunction<SsaState>();
+    func.compact(scratch);
+    normalizeEntry(func, scratch, st.preds);
 
     const int nb = func.numBlocks();
     const int nv0 = func.numVregs();
-    const DominatorTree doms(func);
-    const auto df = dominanceFrontiers(func, doms);
-    const Liveness live(func);
+    st.doms.compute(func);
+    const DominatorTree &doms = st.doms;
+    st.preds.compute(func);
+    st.df.compute(func, doms, st.preds);
+    st.live.compute(func, scratch.get<DataflowRows>());
+    const Liveness &live = st.live;
 
-    // Definition sites per original vreg.
-    std::vector<std::vector<int>> defBlocks(static_cast<size_t>(nv0));
-    for (int b = 0; b < nb; ++b) {
-        for (const Instr &in : func.block(b).instrs) {
-            if (in.dst != NO_VREG) {
-                auto &sites =
-                    defBlocks[static_cast<size_t>(in.dst)];
-                if (sites.empty() || sites.back() != b)
-                    sites.push_back(b);
+    // Definition sites per original vreg (blocks ascending, each
+    // block once).
+    st.defBlocks.build(static_cast<size_t>(nv0), [&](auto &&emit) {
+        st.lastDefBlock.assign(static_cast<size_t>(nv0), -1);
+        for (int b = 0; b < nb; ++b) {
+            for (const Instr &in : func.block(b).instrs) {
+                if (in.dst != NO_VREG &&
+                    st.lastDefBlock[static_cast<size_t>(in.dst)] != b) {
+                    st.lastDefBlock[static_cast<size_t>(in.dst)] = b;
+                    emit(in.dst, b);
+                }
             }
         }
-    }
+    });
 
     // Pruned phi placement: iterated dominance frontier of the def
     // sites, filtered by liveness at the join.
-    std::vector<std::vector<Vreg>> phisFor(static_cast<size_t>(nb));
-    std::vector<int> placed(static_cast<size_t>(nb), -1);
-    std::vector<int> onList(static_cast<size_t>(nb), -1);
-    std::vector<int> worklist;
+    st.phiSites.clear();
+    st.placed.assign(static_cast<size_t>(nb), -1);
+    st.onList.assign(static_cast<size_t>(nb), -1);
+    std::vector<int> &worklist = st.worklist;
     for (Vreg v = 0; v < nv0; ++v) {
-        if (defBlocks[static_cast<size_t>(v)].empty())
+        const std::span<const int> sites = st.defBlocks.of(v);
+        if (sites.empty())
             continue;
-        worklist = defBlocks[static_cast<size_t>(v)];
+        worklist.assign(sites.begin(), sites.end());
         for (int b : worklist)
-            onList[static_cast<size_t>(b)] = v;
+            st.onList[static_cast<size_t>(b)] = v;
         while (!worklist.empty()) {
             const int b = worklist.back();
             worklist.pop_back();
-            for (int j : df[static_cast<size_t>(b)]) {
-                if (placed[static_cast<size_t>(j)] == v)
+            for (int j : st.df.of(b)) {
+                if (st.placed[static_cast<size_t>(j)] == v)
                     continue;
-                if (!live.liveIn[static_cast<size_t>(j)].test(
-                        static_cast<size_t>(v))) {
+                if (!live.isLiveIn(j, v))
                     continue;
-                }
-                placed[static_cast<size_t>(j)] = v;
-                phisFor[static_cast<size_t>(j)].push_back(v);
-                if (onList[static_cast<size_t>(j)] != v) {
-                    onList[static_cast<size_t>(j)] = v;
+                st.placed[static_cast<size_t>(j)] = v;
+                st.phiSites.emplace_back(j, v);
+                if (st.onList[static_cast<size_t>(j)] != v) {
+                    st.onList[static_cast<size_t>(j)] = v;
                     worklist.push_back(j);
                 }
             }
         }
     }
-    for (int b = 0; b < nb; ++b) {
-        auto &vars = phisFor[static_cast<size_t>(b)];
-        if (vars.empty())
-            continue;
-        std::sort(vars.begin(), vars.end());
+    // Per block, phis for its variables in ascending vreg order.
+    std::sort(st.phiSites.begin(), st.phiSites.end());
+    for (size_t i = 0; i < st.phiSites.size();) {
+        const int b = st.phiSites[i].first;
+        size_t end = i;
+        while (end < st.phiSites.size() && st.phiSites[end].first == b)
+            ++end;
         Block &blk = func.block(b);
-        std::vector<Instr> withPhis;
-        withPhis.reserve(blk.instrs.size() + vars.size());
-        for (Vreg v : vars) {
-            Instr phi;
+        blk.instrs.reserve(blk.instrs.size() + (end - i));
+        blk.instrs.insert(blk.instrs.begin(), end - i, Instr{});
+        // Every predecessor edge contributes one slot during renaming.
+        const auto slots = static_cast<size_t>(st.preds.count(b));
+        for (size_t k = i; k < end; ++k) {
+            Instr &phi = blk.instrs[k - i];
+            const Vreg v = st.phiSites[k].second;
             phi.op = Op::Phi;
             phi.dst = v;        // renamed below
             phi.imm = v;        // original variable, used during
                                 // renaming only
-            withPhis.push_back(std::move(phi));
+            phi.srcs.reserve(slots);
+            phi.phiBlocks.reserve(slots);
         }
-        withPhis.insert(withPhis.end(),
-                        std::make_move_iterator(blk.instrs.begin()),
-                        std::make_move_iterator(blk.instrs.end()));
-        blk.instrs = std::move(withPhis);
+        i = end;
     }
 
     // Rename by dominator walk. current[v] carries the live name of
     // original vreg v; the initial value (arg or zero) keeps the
     // original id, every real definition gets a fresh name.
-    std::vector<Vreg> current(static_cast<size_t>(nv0));
+    std::vector<Vreg> &current = st.current;
+    current.resize(static_cast<size_t>(nv0));
     std::iota(current.begin(), current.end(), 0);
-    std::vector<std::pair<Vreg, Vreg>> undo;    // (orig, previous)
+    std::vector<std::pair<Vreg, Vreg>> &undo = st.undo;
+    undo.clear();
 
-    struct WalkFrame
-    {
-        int block;
-        size_t child = 0;
-        size_t undoMark = 0;
-        bool entered = false;
-    };
-    std::vector<WalkFrame> stack;
+    std::vector<RenameFrame> &stack = st.walk;
+    stack.clear();
     stack.push_back({doms.root(), 0, 0, false});
     while (!stack.empty()) {
-        WalkFrame &frame = stack.back();
+        RenameFrame &frame = stack.back();
         Block &blk = func.block(frame.block);
         if (!frame.entered) {
             frame.entered = true;
@@ -262,7 +436,7 @@ buildSSA(Function &func)
                 }
             }
         }
-        const auto &kids = doms.children(frame.block);
+        const auto kids = doms.children(frame.block);
         if (frame.child < kids.size()) {
             const int child = kids[frame.child++];
             stack.push_back({child, 0, 0, false});
@@ -287,66 +461,27 @@ buildSSA(Function &func)
 
 namespace {
 
-/** Union-find over SSA names with class member lists and the entry
- *  initial-value kind: kNone (has a def), kZero (implicit zero),
- *  or an argument index. Classes with conflicting kinds never
- *  merge. */
-struct PhiWebs
-{
-    static constexpr int kNone = -2;
-    static constexpr int kZero = -1;
-
-    std::vector<int> parent;
-    std::vector<int> kind;
-    std::vector<std::vector<Vreg>> members;
-
-    explicit PhiWebs(int n) : parent(static_cast<size_t>(n))
-    {
-        std::iota(parent.begin(), parent.end(), 0);
-        kind.assign(static_cast<size_t>(n), kNone);
-        members.resize(static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i)
-            members[static_cast<size_t>(i)] = {i};
-    }
-
-    int
-    find(int x)
-    {
-        while (parent[static_cast<size_t>(x)] != x) {
-            parent[static_cast<size_t>(x)] =
-                parent[static_cast<size_t>(
-                    parent[static_cast<size_t>(x)])];
-            x = parent[static_cast<size_t>(x)];
-        }
-        return x;
-    }
-
-    void
-    grow()
-    {
-        const int id = static_cast<int>(parent.size());
-        parent.push_back(id);
-        kind.push_back(kNone);
-        members.push_back({id});
-    }
-};
-
-/** destroySSA implementation state. */
+/** destroySSA implementation state, a view over the SsaState
+ *  buffers it fills. */
 struct OutOfSSA
 {
     Function &func;
-    Liveness live;
-    std::vector<int> defBlock, defIndex;    ///< -1 index = at entry
-    PhiWebs webs;
+    const Liveness &live;
+    std::vector<int> &defBlock;
+    std::vector<int> &defIndex;
+    PhiWebs &webs;
 
-    explicit OutOfSSA(Function &f)
-        : func(f), live(f), defBlock(), defIndex(),
-          webs(f.numVregs())
+    OutOfSSA(Function &f, SsaState &st, DataflowRows &rows)
+        : func(f), live(st.live), defBlock(st.defBlock),
+          defIndex(st.defIndex), webs(st.webs)
     {
+        st.live.compute(func, rows);
         const int nv = func.numVregs();
+        webs.reset(nv);
         defBlock.assign(static_cast<size_t>(nv), func.entry);
         defIndex.assign(static_cast<size_t>(nv), -1);
-        std::vector<uint8_t> hasDef(static_cast<size_t>(nv), 0);
+        std::vector<uint8_t> &hasDef = st.hasDef;
+        hasDef.assign(static_cast<size_t>(nv), 0);
         for (int b = 0; b < func.numBlocks(); ++b) {
             const Block &blk = func.block(b);
             for (size_t i = 0; i < blk.instrs.size(); ++i) {
@@ -385,12 +520,10 @@ struct OutOfSSA
         if (hasDefOf(a) && defBlock[static_cast<size_t>(a)] == b) {
             if (defIndex[static_cast<size_t>(a)] > i)
                 return false;   // not yet defined at this point
-        } else if (!live.liveIn[static_cast<size_t>(b)].test(
-                       static_cast<size_t>(a))) {
+        } else if (!live.isLiveIn(b, a)) {
             return false;       // never live inside this block
         }
-        if (live.liveOut[static_cast<size_t>(b)].test(
-                static_cast<size_t>(a))) {
+        if (live.isLiveOut(b, a)) {
             return true;
         }
         const Block &blk = func.block(b);
@@ -435,31 +568,28 @@ struct OutOfSSA
         const int kb = webs.kind[static_cast<size_t>(rb)];
         if (ka != PhiWebs::kNone && kb != PhiWebs::kNone && ka != kb)
             return false;
-        for (Vreg x : webs.members[static_cast<size_t>(ra)]) {
-            for (Vreg y : webs.members[static_cast<size_t>(rb)]) {
+        for (Vreg x = webs.firstMember[static_cast<size_t>(ra)];
+             x != -1; x = webs.nextMember[static_cast<size_t>(x)]) {
+            for (Vreg y = webs.firstMember[static_cast<size_t>(rb)];
+                 y != -1; y = webs.nextMember[static_cast<size_t>(y)]) {
                 if (interferes(x, y))
                     return false;
             }
         }
         // Merge rb into ra (keep ra stable for determinism).
-        webs.parent[static_cast<size_t>(rb)] = ra;
+        webs.absorb(ra, rb);
         webs.kind[static_cast<size_t>(ra)] =
             ka != PhiWebs::kNone ? ka : kb;
-        auto &ma = webs.members[static_cast<size_t>(ra)];
-        auto &mb = webs.members[static_cast<size_t>(rb)];
-        ma.insert(ma.end(), mb.begin(), mb.end());
-        mb.clear();
-        mb.shrink_to_fit();
         return true;
     }
 };
 
 /** Fold phis whose (non-self) sources all resolve to one name. */
 void
-foldTrivialPhis(Function &func)
+foldTrivialPhis(Function &func, std::vector<Vreg> &subst)
 {
     const int nv = func.numVregs();
-    std::vector<Vreg> subst(static_cast<size_t>(nv));
+    subst.resize(static_cast<size_t>(nv));
     std::iota(subst.begin(), subst.end(), 0);
     auto resolve = [&](Vreg v) {
         while (subst[static_cast<size_t>(v)] != v)
@@ -543,26 +673,19 @@ collapseDuplicateEdges(Function &func)
     }
 }
 
-/** One pending phi copy: class(dstName) := class(srcName) on the
- *  edge pred -> target. */
-struct EdgeCopy
+/** Sequentialize one edge's parallel copy in class space into
+ *  `out` as Mov instructions (cycles broken with a fresh temp);
+ *  consumes `copies`. */
+void
+sequentializeCopies(std::vector<EdgeCopy> &copies, OutOfSSA &state,
+                    std::vector<Instr> &out)
 {
-    Vreg dst;
-    Vreg src;
-};
-
-/** Sequentialize one edge's parallel copy in class space; emits Mov
- *  instructions (cycles broken with a fresh temp). */
-std::vector<Instr>
-sequentializeCopies(std::vector<EdgeCopy> copies, OutOfSSA &state)
-{
-    std::vector<Instr> out;
+    out.clear();
     auto emit = [&](Vreg dst, Vreg src) {
-        Instr mov;
+        Instr &mov = out.emplace_back();
         mov.op = Op::Mov;
         mov.dst = dst;
         mov.srcs = {src};
-        out.push_back(std::move(mov));
     };
     while (!copies.empty()) {
         bool progressed = false;
@@ -592,7 +715,17 @@ sequentializeCopies(std::vector<EdgeCopy> copies, OutOfSSA &state)
         emit(temp, copies.front().src);
         copies.front().src = temp;
     }
-    return out;
+}
+
+/** True if pred -> target is a region's pseudo abort edge. */
+bool
+isAbortEdge(const Function &func, int pred, int target)
+{
+    for (const RegionInfo &r : func.regions) {
+        if (r.entryBlock == pred && r.altBlock == target)
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -600,17 +733,26 @@ sequentializeCopies(std::vector<EdgeCopy> copies, OutOfSSA &state)
 void
 destroySSA(Function &func)
 {
+    PassScratch scratch;
+    destroySSA(func, scratch);
+}
+
+void
+destroySSA(Function &func, PassScratch &scratch)
+{
     AREGION_ASSERT(func.ssaForm, "destroySSA on non-SSA function ",
                    func.name);
-    func.compact();
-    foldTrivialPhis(func);
+    SsaState &st = scratch.getForFunction<SsaState>();
+    func.compact(scratch);
+    foldTrivialPhis(func, st.subst);
     collapseDuplicateEdges(func);
 
-    OutOfSSA state(func);
-    const auto preds = func.computePreds();
+    OutOfSSA state(func, st, scratch.get<DataflowRows>());
+    st.preds.compute(func);
+    const PredLists &preds = st.preds;
 
     // Coalesce phi webs: deterministic RPO order.
-    const auto rpo = func.reversePostOrder();
+    const std::vector<int> &rpo = st.rpo.compute(func);
     for (int b : rpo) {
         Block &blk = func.block(b);
         const size_t phis = phiCount(blk);
@@ -621,15 +763,10 @@ destroySSA(Function &func)
         }
     }
 
-    // Pseudo abort edges (region entry -> alt) cannot be split and
-    // cannot host copies after AtomicBegin (rollback would undo
-    // them).
-    std::map<std::pair<int, int>, int> abortEdge;
-    for (const RegionInfo &r : func.regions)
-        abortEdge[{r.entryBlock, r.altBlock}] = r.id;
-
-    // Collect unresolved copies per edge, in RPO target order.
-    std::map<std::pair<int, int>, std::vector<EdgeCopy>> edgeCopies;
+    // Collect unresolved copies per edge, in RPO target order, then
+    // group them by edge in (pred, target) order.
+    std::vector<PendingCopy> &pending = st.pending;
+    pending.clear();
     for (int t : rpo) {
         Block &blk = func.block(t);
         const size_t phis = phiCount(blk);
@@ -640,23 +777,38 @@ destroySSA(Function &func)
                     state.webs.find(phi.srcs[k])) {
                     continue;
                 }
-                edgeCopies[{phi.phiBlocks[k], t}].push_back(
-                    {phi.dst, phi.srcs[k]});
+                pending.push_back({phi.phiBlocks[k], t,
+                                   static_cast<int>(pending.size()),
+                                   {phi.dst, phi.srcs[k]}});
             }
         }
     }
+    std::sort(pending.begin(), pending.end(),
+              [](const PendingCopy &a, const PendingCopy &b) {
+                  return std::tie(a.pred, a.target, a.seq) <
+                         std::tie(b.pred, b.target, b.seq);
+              });
 
-    for (auto &[edge, copies] : edgeCopies) {
-        const auto [p, t] = edge;
+    std::vector<Instr> &movs = st.movs;
+    for (size_t first = 0; first < pending.size();) {
+        const int p = pending[first].pred;
+        const int t = pending[first].target;
+        st.copies.clear();
+        size_t end = first;
+        for (; end < pending.size() && pending[end].pred == p &&
+               pending[end].target == t;
+             ++end) {
+            st.copies.push_back(pending[end].copy);
+        }
+        first = end;
         Block &pred = func.block(p);
-        std::vector<Instr> movs =
-            sequentializeCopies(copies, state);
+        sequentializeCopies(st.copies, state, movs);
         if (pred.succs.size() == 1) {
             // Host at the end of the predecessor.
             pred.instrs.insert(pred.instrs.end() - 1,
                                std::make_move_iterator(movs.begin()),
                                std::make_move_iterator(movs.end()));
-        } else if (preds[static_cast<size_t>(t)].size() == 1) {
+        } else if (preds.count(t) == 1) {
             // Host at the head of the target (after its phis). For
             // a single-pred alt block this is also the rollback-
             // correct spot: the copies execute after the register
@@ -669,9 +821,11 @@ destroySSA(Function &func)
             target.instrs.insert(
                 at, std::make_move_iterator(movs.begin()),
                 std::make_move_iterator(movs.end()));
-        } else if (abortEdge.count({p, t})) {
-            // Unsplittable rollback edge into a multi-pred alt
-            // block: place the copies before AtomicBegin so the
+        } else if (isAbortEdge(func, p, t)) {
+            // Pseudo abort edges (region entry -> alt) cannot be
+            // split and cannot host copies after AtomicBegin
+            // (rollback would undo them). Into a multi-pred alt
+            // block, place the copies before AtomicBegin so the
             // checkpoint captures them. Writing those classes there
             // must not clobber a value some other path still needs.
             const size_t insertAt = phiCount(pred);
@@ -683,8 +837,10 @@ destroySSA(Function &func)
                 static_cast<int>(state.defBlock.size());
             for (const Instr &mov : movs) {
                 const int cls = state.webs.find(mov.dst);
-                for (Vreg m :
-                     state.webs.members[static_cast<size_t>(cls)]) {
+                for (Vreg m = state.webs.firstMember[
+                         static_cast<size_t>(cls)];
+                     m != -1;
+                     m = state.webs.nextMember[static_cast<size_t>(m)]) {
                     if (m >= liveNames)
                         continue;   // cycle temp: born in this copy
                     AREGION_ASSERT(
@@ -704,10 +860,10 @@ destroySSA(Function &func)
             // Critical edge: split.
             Block &split = func.newBlock();
             const int splitId = split.id;
-            Instr jump;
-            jump.op = Op::Jump;
-            split.instrs = std::move(movs);
-            split.instrs.push_back(std::move(jump));
+            split.instrs.reserve(movs.size() + 1);
+            split.instrs.assign(std::make_move_iterator(movs.begin()),
+                                std::make_move_iterator(movs.end()));
+            split.instrs.emplace_back().op = Op::Jump;
             split.succs = {t};
             Block &p2 = func.block(p);   // newBlock invalidated refs
             split.regionId =
@@ -739,7 +895,8 @@ destroySSA(Function &func)
     // Dense renumbering: argument classes keep their slots, every
     // other class gets the next id in order of first appearance.
     const int total = func.numVregs();
-    std::vector<Vreg> classReg(static_cast<size_t>(total), NO_VREG);
+    std::vector<Vreg> &classReg = st.classReg;
+    classReg.assign(static_cast<size_t>(total), NO_VREG);
     for (Vreg v = 0; v < total; ++v) {
         const int r = state.webs.find(v);
         const int k = state.webs.kind[static_cast<size_t>(r)];
@@ -753,7 +910,7 @@ destroySSA(Function &func)
             classReg[static_cast<size_t>(r)] = next++;
         return classReg[static_cast<size_t>(r)];
     };
-    for (int b : func.reversePostOrder()) {
+    for (int b : st.rpo.compute(func)) {
         for (Instr &in : func.block(b).instrs) {
             for (Vreg &s : in.srcs)
                 s = assign(s);
@@ -774,7 +931,7 @@ destroySSA(Function &func)
         }
     }
     func.ssaForm = false;
-    func.compact();
+    func.compact(scratch);
 }
 
 } // namespace aregion::ir

@@ -17,6 +17,9 @@
  * edges are split), and every name is renumbered densely with
  * argument classes pinned to [0, numArgs).
  *
+ * Both take their analysis storage from a PassScratch (ir/scratch.hh);
+ * the overloads without one use a scratch of their own.
+ *
  * Atomic-region subtlety: the pseudo edge from a region entry block
  * (AtomicBegin) to its alternate block is traversed only by a
  * rollback, which restores the register checkpoint taken at
@@ -30,6 +33,7 @@
 #define AREGION_IR_SSA_HH
 
 #include "ir/ir.hh"
+#include "ir/scratch.hh"
 
 namespace aregion::ir {
 
@@ -38,11 +42,13 @@ namespace aregion::ir {
  *  inserts a fresh pre-entry block so the implicit entry edge cannot
  *  carry phi inputs. Sets func.ssaForm. */
 void buildSSA(Function &func);
+void buildSSA(Function &func, PassScratch &scratch);
 
 /** Lower out of SSA form (requires func.ssaForm). Removes every Phi,
  *  inserts the minimal copies coalescing could not avoid, renumbers
  *  vregs densely (args keep [0, numArgs)) and clears func.ssaForm. */
 void destroySSA(Function &func);
+void destroySSA(Function &func, PassScratch &scratch);
 
 } // namespace aregion::ir
 

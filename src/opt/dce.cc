@@ -22,6 +22,8 @@
 
 #include "opt/pass.hh"
 
+#include "ir/scratch.hh"
+
 namespace aregion::opt {
 
 using namespace aregion::ir;
@@ -34,25 +36,45 @@ removableIfDead(Op op)
     return isPureValue(op) || isLoad(op);
 }
 
+/** Reused buffers of one compile's DCE calls. */
+struct DceState
+{
+    RpoBuffer rpo;
+    /** Defs of each name (multiple only in non-SSA input). */
+    Csr<const Instr *> defs;
+    std::vector<uint8_t> marked;
+    std::vector<Vreg> work;
+};
+
 } // namespace
 
 bool
 deadCodeElim(Function &func)
 {
-    const auto rpo = func.reversePostOrder();
+    PassScratch scratch;
+    return deadCodeElim(func, scratch);
+}
+
+bool
+deadCodeElim(Function &func, PassScratch &scratch)
+{
+    DceState &st = scratch.get<DceState>();
+    const std::vector<int> &rpo = st.rpo.compute(func);
     const size_t nv = static_cast<size_t>(func.numVregs());
 
-    // Defs of each name (multiple only in non-SSA input).
-    std::vector<std::vector<const Instr *>> defs(nv);
-    for (int b : rpo) {
-        for (const Instr &in : func.block(b).instrs) {
-            if (in.dst != NO_VREG)
-                defs[static_cast<size_t>(in.dst)].push_back(&in);
+    st.defs.build(nv, [&](auto &&emit) {
+        for (int b : rpo) {
+            for (const Instr &in : func.block(b).instrs) {
+                if (in.dst != NO_VREG)
+                    emit(in.dst, &in);
+            }
         }
-    }
+    });
 
-    std::vector<uint8_t> marked(nv, 0);
-    std::vector<Vreg> work;
+    std::vector<uint8_t> &marked = st.marked;
+    marked.assign(nv, 0);
+    std::vector<Vreg> &work = st.work;
+    work.clear();
     auto mark = [&](Vreg v) {
         if (v < 0 || static_cast<size_t>(v) >= nv)
             return;
@@ -73,7 +95,7 @@ deadCodeElim(Function &func)
     while (!work.empty()) {
         const Vreg v = work.back();
         work.pop_back();
-        for (const Instr *def : defs[static_cast<size_t>(v)]) {
+        for (const Instr *def : st.defs.of(v)) {
             for (Vreg s : def->srcs)
                 mark(s);
         }
@@ -81,10 +103,10 @@ deadCodeElim(Function &func)
 
     bool changed = false;
     for (int b : rpo) {
-        Block &blk = func.block(b);
-        std::vector<Instr> kept;
-        kept.reserve(blk.instrs.size());
-        for (Instr &in : blk.instrs) {
+        std::vector<Instr> &instrs = func.block(b).instrs;
+        size_t kept = 0;
+        for (size_t i = 0; i < instrs.size(); ++i) {
+            Instr &in = instrs[i];
             const bool dead = in.dst != NO_VREG &&
                               removableIfDead(in.op) &&
                               !marked[static_cast<size_t>(in.dst)];
@@ -92,9 +114,12 @@ deadCodeElim(Function &func)
                 changed = true;
                 continue;
             }
-            kept.push_back(std::move(in));
+            if (kept != i)
+                instrs[kept] = std::move(in);
+            ++kept;
         }
-        blk.instrs = std::move(kept);
+        instrs.erase(instrs.begin() + static_cast<long>(kept),
+                     instrs.end());
     }
 
     return changed;

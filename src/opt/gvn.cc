@@ -35,9 +35,10 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <unordered_map>
+#include <span>
+#include <tuple>
 
+#include "ir/scratch.hh"
 #include "support/bitset.hh"
 #include "support/logging.hh"
 #include "vm/layout.hh"
@@ -75,71 +76,30 @@ struct ExprRef
     int aux = 0;
 };
 
-struct ExprKeyHash
+/** FNV-1a over an expression's fields. */
+size_t
+hashExpr(const ExprRef &r)
 {
-    using is_transparent = void;
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&](uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    mix(static_cast<uint64_t>(r.op));
+    mix(static_cast<uint64_t>(r.imm));
+    mix(static_cast<uint64_t>(r.aux));
+    for (size_t i = 0; i < r.nsrcs; ++i)
+        mix(static_cast<uint64_t>(r.srcs[i]));
+    return static_cast<size_t>(h);
+}
 
-    static size_t
-    hash(Op op, const Vreg *srcs, size_t nsrcs, int64_t imm, int aux)
-    {
-        uint64_t h = 1469598103934665603ull;    // FNV-1a
-        auto mix = [&](uint64_t v) {
-            h ^= v;
-            h *= 1099511628211ull;
-        };
-        mix(static_cast<uint64_t>(op));
-        mix(static_cast<uint64_t>(imm));
-        mix(static_cast<uint64_t>(aux));
-        for (size_t i = 0; i < nsrcs; ++i)
-            mix(static_cast<uint64_t>(srcs[i]));
-        return static_cast<size_t>(h);
-    }
-
-    size_t
-    operator()(const ExprKey &k) const
-    {
-        return hash(k.op, k.srcs.data(), k.nsrcs, k.imm, k.aux);
-    }
-
-    size_t
-    operator()(const ExprRef &r) const
-    {
-        return hash(r.op, r.srcs, r.nsrcs, r.imm, r.aux);
-    }
-};
-
-struct ExprKeyEq
+bool
+sameExpr(const ExprKey &k, const ExprRef &r)
 {
-    using is_transparent = void;
-
-    static bool
-    eq(const ExprKey &k, Op op, const Vreg *srcs, size_t nsrcs,
-       int64_t imm, int aux)
-    {
-        return k.op == op && k.imm == imm && k.aux == aux &&
-               k.nsrcs == nsrcs &&
-               std::equal(k.srcs.data(), k.srcs.data() + k.nsrcs,
-                          srcs);
-    }
-
-    bool
-    operator()(const ExprKey &a, const ExprKey &b) const
-    {
-        return eq(a, b.op, b.srcs.data(), b.nsrcs, b.imm, b.aux);
-    }
-
-    bool
-    operator()(const ExprKey &k, const ExprRef &r) const
-    {
-        return eq(k, r.op, r.srcs, r.nsrcs, r.imm, r.aux);
-    }
-
-    bool
-    operator()(const ExprRef &r, const ExprKey &k) const
-    {
-        return eq(k, r.op, r.srcs, r.nsrcs, r.imm, r.aux);
-    }
-};
+    return k.op == r.op && k.imm == r.imm && k.aux == r.aux &&
+           k.nsrcs == r.nsrcs &&
+           std::equal(k.srcs.data(), k.srcs.data() + k.nsrcs, r.srcs);
+}
 
 bool
 isCommutative(Op op)
@@ -203,50 +163,96 @@ refOf(const Instr &in, Vreg (&swapped)[2])
     return ref;
 }
 
-/** Hash-consed expression universe with per-kill-class id lists. */
+/** A load expression's kill class: stores of one field / any element
+ *  / one raw slot kill exactly the loads of the matching class. */
+struct LoadClass
+{
+    Op op;              ///< LoadField, LoadElem or LoadRaw
+    int64_t key;        ///< field index, 0, or raw offset
+    int id;
+
+    bool
+    operator<(const LoadClass &o) const
+    {
+        return std::tie(op, key, id) < std::tie(o.op, o.key, o.id);
+    }
+};
+
+/** Hash-consed expression universe (open addressing over expression
+ *  ids) with the loads sorted by kill class. */
 struct Universe
 {
-    std::unordered_map<ExprKey, int, ExprKeyHash, ExprKeyEq> index;
     std::vector<ExprKey> exprs;
-    std::map<int, std::vector<int>> loadFieldByAux;
-    std::vector<int> loadElem;
-    std::map<int64_t, std::vector<int>> loadRawByImm;
-    std::vector<int> allLoads;      // excludes LoadSubtype
+    std::vector<int> slots;         ///< expression id, -1 = empty
+    std::vector<LoadClass> loads;   ///< sorted once interning ends
+
+    /** Empty the universe, with room for `expected` entries before
+     *  the table has to grow. */
+    void
+    reset(size_t expected)
+    {
+        exprs.clear();
+        loads.clear();
+        size_t cap = 16;
+        while (cap < 2 * expected)
+            cap *= 2;
+        slots.assign(cap, -1);
+    }
+
+    /** Slot of `ref`: its entry, or the empty slot it belongs in. */
+    size_t
+    find(const ExprRef &ref) const
+    {
+        const size_t mask = slots.size() - 1;
+        size_t i = hashExpr(ref) & mask;
+        while (slots[i] >= 0 &&
+               !sameExpr(exprs[static_cast<size_t>(slots[i])], ref)) {
+            i = (i + 1) & mask;
+        }
+        return i;
+    }
 
     int
     intern(const ExprRef &ref)
     {
-        auto it = index.find(ref);
-        if (it != index.end())
-            return it->second;
+        size_t i = find(ref);
+        if (slots[i] >= 0)
+            return slots[i];
         AREGION_ASSERT(ref.nsrcs <= 2,
                        "numbered expressions are at most binary");
+        if (2 * (exprs.size() + 1) > slots.size()) {
+            // Keep the load factor at or below one half.
+            slots.assign(2 * slots.size(), -1);
+            for (const ExprKey &k : exprs) {
+                const ExprRef old{k.op, k.srcs.data(), k.nsrcs, k.imm,
+                                  k.aux};
+                slots[find(old)] = static_cast<int>(&k - exprs.data());
+            }
+            i = find(ref);
+        }
         ExprKey key;
         key.op = ref.op;
         key.nsrcs = static_cast<uint8_t>(ref.nsrcs);
-        for (size_t i = 0; i < ref.nsrcs; ++i)
-            key.srcs[i] = ref.srcs[i];
+        for (size_t k = 0; k < ref.nsrcs; ++k)
+            key.srcs[k] = ref.srcs[k];
         key.imm = ref.imm;
         key.aux = ref.aux;
         const int id = static_cast<int>(exprs.size());
         exprs.push_back(key);
+        slots[i] = id;
         switch (key.op) {
           case Op::LoadField:
-            loadFieldByAux[key.aux].push_back(id);
-            allLoads.push_back(id);
+            loads.push_back({key.op, key.aux, id});
             break;
           case Op::LoadElem:
-            loadElem.push_back(id);
-            allLoads.push_back(id);
+            loads.push_back({key.op, 0, id});
             break;
           case Op::LoadRaw:
-            loadRawByImm[key.imm].push_back(id);
-            allLoads.push_back(id);
+            loads.push_back({key.op, key.imm, id});
             break;
           default:
             break;
         }
-        index.emplace(std::move(key), id);
         return id;
     }
 
@@ -255,6 +261,18 @@ struct Universe
     {
         Vreg swapped[2];
         return intern(refOf(in, swapped));
+    }
+
+    /** Load ids of one kill class, ascending. */
+    std::span<const LoadClass>
+    loadsOf(Op op, int64_t key) const
+    {
+        const auto range = std::equal_range(
+            loads.begin(), loads.end(), LoadClass{op, key, 0},
+            [](const LoadClass &a, const LoadClass &b) {
+                return std::tie(a.op, a.key) < std::tie(b.op, b.key);
+            });
+        return {range.first, range.second};
     }
 };
 
@@ -271,25 +289,20 @@ memoryKills(const Instr &in, bool in_region, const Universe &uni,
 {
     out.clear();
     kills_all_loads = false;
-    auto addAll = [&](const std::vector<int> &ids) {
-        out.insert(out.end(), ids.begin(), ids.end());
+    auto addAll = [&](std::span<const LoadClass> loads) {
+        for (const LoadClass &l : loads)
+            out.push_back(l.id);
     };
     switch (in.op) {
-      case Op::StoreField: {
-        auto it = uni.loadFieldByAux.find(in.aux);
-        if (it != uni.loadFieldByAux.end())
-            addAll(it->second);
+      case Op::StoreField:
+        addAll(uni.loadsOf(Op::LoadField, in.aux));
         break;
-      }
       case Op::StoreElem:
-        addAll(uni.loadElem);
+        addAll(uni.loadsOf(Op::LoadElem, 0));
         break;
-      case Op::StoreRaw: {
-        auto it = uni.loadRawByImm.find(in.imm);
-        if (it != uni.loadRawByImm.end())
-            addAll(it->second);
+      case Op::StoreRaw:
+        addAll(uni.loadsOf(Op::LoadRaw, in.imm));
         break;
-      }
       case Op::CallStatic:
       case Op::CallVirtual:
       case Op::Spawn:
@@ -302,9 +315,7 @@ memoryKills(const Instr &in, bool in_region, const Universe &uni,
         if (in_region) {
             // Isolation: within a region only the lock word itself
             // is written.
-            auto it = uni.loadRawByImm.find(vm::layout::HDR_LOCK);
-            if (it != uni.loadRawByImm.end())
-                addAll(it->second);
+            addAll(uni.loadsOf(Op::LoadRaw, vm::layout::HDR_LOCK));
         } else {
             kills_all_loads = true;
         }
@@ -358,20 +369,76 @@ forwardedExpr(const Instr &in, Universe &uni, Vreg &value_out)
     return uni.intern(ref);
 }
 
-/** One numbering/rewriting episode over a function. */
+/** Providers (expression -> name) valid at one program point: a dense
+ *  name per expression plus the list of expressions ever set, so
+ *  clearing costs what was set rather than the universe size. */
+struct ProviderSet
+{
+    std::vector<Vreg> name;     ///< NO_VREG = no provider
+    std::vector<uint8_t> listed;
+    std::vector<int> touched;
+
+    void
+    reset(size_t n)
+    {
+        name.assign(n, NO_VREG);
+        listed.assign(n, 0);
+        touched.clear();
+    }
+
+    void
+    set(int e, Vreg v)
+    {
+        if (!listed[static_cast<size_t>(e)]) {
+            listed[static_cast<size_t>(e)] = 1;
+            touched.push_back(e);
+        }
+        name[static_cast<size_t>(e)] = v;
+    }
+
+    void kill(int e) { name[static_cast<size_t>(e)] = NO_VREG; }
+
+    /** Drop every load provider. */
+    void
+    killLoads(const std::vector<uint8_t> &is_load)
+    {
+        for (int e : touched) {
+            if (is_load[static_cast<size_t>(e)])
+                kill(e);
+        }
+    }
+
+    /** Empty the set (touched entries only). */
+    void
+    clear()
+    {
+        for (int e : touched) {
+            kill(e);
+            listed[static_cast<size_t>(e)] = 0;
+        }
+        touched.clear();
+    }
+};
+
+/** One numbering/rewriting episode over a function. The object lives
+ *  in the compile's PassScratch for one scalar pipeline run
+ *  (getForFunction) and is reused by that run's gvn() calls: run()
+ *  resets each buffer it reads. */
 struct Gvn
 {
-    Function &func;
+    Function *fn = nullptr;
     Universe uni;
-    std::vector<int> rpo;
-    std::vector<std::vector<int>> preds;
+    RpoBuffer rpoBuf;
+    PredLists preds;
     std::vector<uint8_t> reachable;
     size_t n = 0;                       // expression universe size
 
-    std::vector<DenseBitset> genEnd;    // generated & live at block end
-    std::vector<DenseBitset> killAny;   // killed at any point in block
-    std::vector<DenseBitset> availIn;
-    std::vector<DenseBitset> availOut;  // maintained with availIn
+    /** Per-block sets, borrowed from the compile's DataflowRows:
+     *  generated & live at block end, killed at any point in the
+     *  block, available at entry, and available at exit (maintained
+     *  with availIn). */
+    DataflowRows *rows = nullptr;
+    DenseBitset merged, avail;
     /** Interned ids aligned with instruction order, flat across the
      *  function (instruction i of block b lives at blockBase[b]+i),
      *  so the universe map is consulted once per instruction: the
@@ -388,21 +455,33 @@ struct Gvn
      *  load" sentinel, applied with `loadsMask` instead of a list. */
     std::vector<int> killOff;
     std::vector<int> killDat;
+    std::vector<int> kills;
     DenseBitset loadsMask;              // every load id (no LoadSubtype)
     std::vector<uint8_t> isLoadId;      // indexed by expression id
     /** Last provider name per (block, expr) still valid at block
-     *  end; parallel to genEnd. */
-    std::vector<std::unordered_map<int, Vreg>> provEnd;
-    /** Memoized provider valid at block entry. */
-    std::map<std::pair<int, int>, Vreg> provInMemo;
+     *  end: block b's (expr, name) pairs, sorted by expr, are
+     *  provEnd[provOff[b] .. provOff[b+1]). */
+    std::vector<int> provOff;
+    std::vector<std::pair<int, Vreg>> provEnd;
+    /** Providers within the block being scanned or rewritten. */
+    ProviderSet local;
+    /** Memoized provider valid at block entry, per block. */
+    std::vector<std::vector<std::pair<int, Vreg>>> provInMemo;
     /** Phis synthesized for join providers, prepended at the end. */
     std::vector<std::vector<Instr>> pendingPhis;
     /** dst of a deleted occurrence -> the name that replaced it. */
     std::vector<Vreg> replacedBy;
 
-    explicit Gvn(Function &f) : func(f) {}
+    DenseBitset &row(int set, int b)
+    {
+        return rows->sets[set][static_cast<size_t>(b)];
+    }
+    DenseBitset &genEnd(int b) { return row(0, b); }
+    DenseBitset &killAny(int b) { return row(1, b); }
+    DenseBitset &availIn(int b) { return row(2, b); }
+    DenseBitset &availOut(int b) { return row(3, b); }
 
-    bool run();
+    bool run(Function &func, DataflowRows &dataflow_rows);
     void computeLocal();
     void solveAvail();
     bool rewrite();
@@ -413,21 +492,21 @@ struct Gvn
 void
 Gvn::computeLocal()
 {
+    Function &func = *fn;
     const auto nb = static_cast<size_t>(func.numBlocks());
-    genEnd.assign(nb, DenseBitset(n));
-    killAny.assign(nb, DenseBitset(n));
-    provEnd.assign(nb, {});
+    support::resetRows(rows->sets[0], nb, n);
+    support::resetRows(rows->sets[1], nb, n);
+    provOff.assign(nb + 1, 0);
+    provEnd.clear();
+    local.reset(n);
     killOff.clear();
-    killOff.reserve(exprIds.size() + 1);
     killOff.push_back(0);
     killDat.clear();
-    std::vector<int> kills;
-    for (int b : rpo) {
+    for (int b : rpoBuf.order) {
         Block &blk = func.block(b);
         const bool in_region = blk.regionId >= 0;
-        DenseBitset &gen = genEnd[static_cast<size_t>(b)];
-        DenseBitset &kill = killAny[static_cast<size_t>(b)];
-        auto &prov = provEnd[static_cast<size_t>(b)];
+        DenseBitset &gen = genEnd(b);
+        DenseBitset &kill = killAny(b);
         const auto base =
             static_cast<size_t>(blockBase[static_cast<size_t>(b)]);
         for (size_t i = 0; i < blk.instrs.size(); ++i) {
@@ -437,25 +516,20 @@ Gvn::computeLocal()
                 gen.set(static_cast<size_t>(e));
                 kill.clear(static_cast<size_t>(e));
                 if (in.dst != NO_VREG)
-                    prov[e] = in.dst;
+                    local.set(e, in.dst);
             }
             bool kills_all = false;
             memoryKills(in, in_region, uni, kills, kills_all);
             if (kills_all) {
                 kill.unite(loadsMask);
                 gen.subtract(loadsMask);
-                for (auto it = prov.begin(); it != prov.end();) {
-                    if (isLoadId[static_cast<size_t>(it->first)])
-                        it = prov.erase(it);
-                    else
-                        ++it;
-                }
+                local.killLoads(isLoadId);
                 killDat.push_back(-1);
             } else {
                 for (int k : kills) {
                     kill.set(static_cast<size_t>(k));
                     gen.clear(static_cast<size_t>(k));
-                    prov.erase(k);
+                    local.kill(k);
                 }
                 killDat.insert(killDat.end(), kills.begin(),
                                kills.end());
@@ -465,32 +539,48 @@ Gvn::computeLocal()
             if (f >= 0) {
                 gen.set(static_cast<size_t>(f));
                 kill.clear(static_cast<size_t>(f));
-                prov[f] = fwdVals[base + i];
+                local.set(f, fwdVals[base + i]);
             }
         }
+        // Freeze the block-end providers, sorted for lookup.
+        const size_t from = provEnd.size();
+        for (int e : local.touched) {
+            const Vreg v = local.name[static_cast<size_t>(e)];
+            if (v != NO_VREG)
+                provEnd.emplace_back(e, v);
+        }
+        std::sort(provEnd.begin() + static_cast<long>(from),
+                  provEnd.end());
+        provOff[static_cast<size_t>(b) + 1] =
+            static_cast<int>(provEnd.size() - from);
+        local.clear();
     }
+    for (size_t b = 0; b < nb; ++b)
+        provOff[b + 1] += provOff[b];
 }
 
 void
 Gvn::solveAvail()
 {
+    Function &func = *fn;
     const auto nb = static_cast<size_t>(func.numBlocks());
-    availIn.assign(nb, DenseBitset(n));
-    availOut.assign(nb, DenseBitset(n));
+    support::resetRows(rows->sets[2], nb, n);
+    support::resetRows(rows->sets[3], nb, n);
     // Out-sets are maintained alongside in-sets so the fixpoint loop
     // never recomputes (or reallocates) a predecessor's transfer.
     auto flowOut = [&](int b) {
-        DenseBitset &out = availOut[static_cast<size_t>(b)];
-        out = availIn[static_cast<size_t>(b)];
-        out.subtract(killAny[static_cast<size_t>(b)]);
-        out.unite(genEnd[static_cast<size_t>(b)]);
+        DenseBitset &out = availOut(b);
+        out = availIn(b);
+        out.subtract(killAny(b));
+        out.unite(genEnd(b));
     };
+    const std::vector<int> &rpo = rpoBuf.order;
     for (int b : rpo) {
         if (b != func.entry)
-            availIn[static_cast<size_t>(b)].setAll();
+            availIn(b).setAll();
         flowOut(b);
     }
-    DenseBitset merged(n);
+    merged.reset(n);
     bool dirty = true;
     while (dirty) {
         dirty = false;
@@ -499,16 +589,16 @@ Gvn::solveAvail()
                 continue;
             merged.setAll();
             bool any = false;
-            for (int p : preds[static_cast<size_t>(b)]) {
+            for (int p : preds.of(b)) {
                 if (!reachable[static_cast<size_t>(p)])
                     continue;
-                merged.intersect(availOut[static_cast<size_t>(p)]);
+                merged.intersect(availOut(p));
                 any = true;
             }
             if (!any)
                 merged.reset();
-            if (!(merged == availIn[static_cast<size_t>(b)])) {
-                availIn[static_cast<size_t>(b)] = merged;
+            if (!(merged == availIn(b))) {
+                availIn(b) = merged;
                 flowOut(b);
                 dirty = true;
             }
@@ -520,8 +610,12 @@ Gvn::solveAvail()
 Vreg
 Gvn::providerOut(int p, int e)
 {
-    const auto it = provEnd[static_cast<size_t>(p)].find(e);
-    if (it != provEnd[static_cast<size_t>(p)].end())
+    const auto first = provEnd.begin() + provOff[static_cast<size_t>(p)];
+    const auto last =
+        provEnd.begin() + provOff[static_cast<size_t>(p) + 1];
+    const auto it = std::lower_bound(first, last,
+                                     std::pair<int, Vreg>{e, NO_VREG});
+    if (it != last && it->first == e)
         return it->second;
     return providerIn(p, e);
 }
@@ -531,33 +625,42 @@ Gvn::providerOut(int p, int e)
 Vreg
 Gvn::providerIn(int b, int e)
 {
-    const auto memo = provInMemo.find({b, e});
-    if (memo != provInMemo.end())
-        return memo->second;
-
-    std::vector<int> edges;     // reachable pred edges, multiplicity
-    for (int p : preds[static_cast<size_t>(b)]) {
-        if (reachable[static_cast<size_t>(p)])
-            edges.push_back(p);
+    auto &memo = provInMemo[static_cast<size_t>(b)];
+    for (const auto &[me, mv] : memo) {
+        if (me == e)
+            return mv;
     }
-    AREGION_ASSERT(!edges.empty(),
-                   "gvn provider requested at the entry block");
+
+    // Reachable pred edges, with multiplicity.
+    int first = -1;
+    int edges = 0;
     bool single = true;
-    for (int p : edges)
-        single &= p == edges.front();
+    for (int p : preds.of(b)) {
+        if (!reachable[static_cast<size_t>(p)])
+            continue;
+        if (edges++ == 0)
+            first = p;
+        single &= p == first;
+    }
+    AREGION_ASSERT(edges > 0,
+                   "gvn provider requested at the entry block");
     if (single) {
-        const Vreg v = providerOut(edges.front(), e);
-        provInMemo[{b, e}] = v;
+        const Vreg v = providerOut(first, e);
+        memo.emplace_back(e, v);
         return v;
     }
     // Join: materialise a phi. Memoize its name first so a cycle
     // through a loop back edge resolves to the phi itself.
-    const Vreg dst = func.newVreg();
-    provInMemo[{b, e}] = dst;
+    const Vreg dst = fn->newVreg();
+    memo.emplace_back(e, dst);
     Instr phi;
     phi.op = Op::Phi;
     phi.dst = dst;
-    for (int p : edges) {
+    phi.srcs.reserve(static_cast<size_t>(edges));
+    phi.phiBlocks.reserve(static_cast<size_t>(edges));
+    for (int p : preds.of(b)) {
+        if (!reachable[static_cast<size_t>(p)])
+            continue;
         phi.srcs.push_back(providerOut(p, e));
         phi.phiBlocks.push_back(p);
     }
@@ -568,83 +671,85 @@ Gvn::providerIn(int b, int e)
 bool
 Gvn::rewrite()
 {
+    Function &func = *fn;
     bool changed = false;
-    for (int b : rpo) {
-        Block &blk = func.block(b);
-        DenseBitset avail = availIn[static_cast<size_t>(b)];
-        std::map<int, Vreg> local;  // providers established in-block
+    local.reset(n);
+    for (int b : rpoBuf.order) {
+        std::vector<Instr> &instrs = func.block(b).instrs;
+        avail = availIn(b);
         const auto base =
             static_cast<size_t>(blockBase[static_cast<size_t>(b)]);
-        std::vector<Instr> out;
-        out.reserve(blk.instrs.size());
-        for (size_t i = 0; i < blk.instrs.size(); ++i) {
-            Instr &in = blk.instrs[i];
+        size_t kept = 0;
+        for (size_t i = 0; i < instrs.size(); ++i) {
+            Instr &in = instrs[i];
             if (exprIds[base + i] >= 0) {
                 const int e = exprIds[base + i];
                 if (avail.test(static_cast<size_t>(e))) {
                     changed = true;
                     if (in.dst != NO_VREG) {
-                        const auto it = local.find(e);
-                        const Vreg prov = it != local.end()
-                                              ? it->second
+                        const Vreg here =
+                            local.name[static_cast<size_t>(e)];
+                        const Vreg prov = here != NO_VREG
+                                              ? here
                                               : providerIn(b, e);
                         replacedBy[static_cast<size_t>(in.dst)] =
                             prov;
                         // Keep the provider for later occurrences.
-                        local[e] = prov;
+                        local.set(e, prov);
                     }
                     continue;   // redundant check/assert/value
                 }
                 avail.set(static_cast<size_t>(e));
                 if (in.dst != NO_VREG)
-                    local[e] = in.dst;
+                    local.set(e, in.dst);
             }
             for (int j = killOff[base + i]; j < killOff[base + i + 1];
                  ++j) {
                 const int k = killDat[static_cast<size_t>(j)];
                 if (k < 0) {    // kills-every-load sentinel
                     avail.subtract(loadsMask);
-                    for (auto it = local.begin(); it != local.end();) {
-                        if (isLoadId[static_cast<size_t>(it->first)])
-                            it = local.erase(it);
-                        else
-                            ++it;
-                    }
+                    local.killLoads(isLoadId);
                     continue;
                 }
                 avail.clear(static_cast<size_t>(k));
-                local.erase(k);
+                local.kill(k);
             }
             const int f = fwdIds[base + i];
             if (f >= 0) {
                 avail.set(static_cast<size_t>(f));
-                local[f] = fwdVals[base + i];
+                local.set(f, fwdVals[base + i]);
             }
-            out.push_back(std::move(in));
+            if (kept != i)
+                instrs[kept] = std::move(in);
+            ++kept;
         }
-        blk.instrs = std::move(out);
+        instrs.erase(instrs.begin() + static_cast<long>(kept),
+                     instrs.end());
+        local.clear();
     }
     return changed;
 }
 
 bool
-Gvn::run()
+Gvn::run(Function &func, DataflowRows &dataflow_rows)
 {
-    rpo = func.reversePostOrder();
-    preds = func.computePreds();
-    reachable.assign(static_cast<size_t>(func.numBlocks()), 0);
+    fn = &func;
+    rows = &dataflow_rows;
+    const auto nb = static_cast<size_t>(func.numBlocks());
+    const std::vector<int> &rpo = rpoBuf.compute(func);
+    preds.compute(func);
+    reachable.assign(nb, 0);
     for (int b : rpo)
         reachable[static_cast<size_t>(b)] = 1;
 
-    blockBase.assign(static_cast<size_t>(func.numBlocks()), 0);
+    blockBase.assign(nb, 0);
     size_t total_instrs = 0;
     for (int b : rpo) {
         blockBase[static_cast<size_t>(b)] =
             static_cast<int>(total_instrs);
         total_instrs += func.block(b).instrs.size();
     }
-    uni.index.reserve(total_instrs);
-    uni.exprs.reserve(total_instrs);
+    uni.reset(total_instrs);
     exprIds.resize(total_instrs);
     fwdIds.resize(total_instrs);
     fwdVals.resize(total_instrs);
@@ -663,14 +768,22 @@ Gvn::run()
     if (n == 0)
         return false;
 
-    loadsMask = DenseBitset(n);
+    std::sort(uni.loads.begin(), uni.loads.end());
+    loadsMask.reset(n);
     isLoadId.assign(n, 0);
-    for (int id : uni.allLoads) {
-        loadsMask.set(static_cast<size_t>(id));
-        isLoadId[static_cast<size_t>(id)] = 1;
+    for (const LoadClass &l : uni.loads) {
+        loadsMask.set(static_cast<size_t>(l.id));
+        isLoadId[static_cast<size_t>(l.id)] = 1;
     }
 
-    pendingPhis.assign(static_cast<size_t>(func.numBlocks()), {});
+    if (pendingPhis.size() < nb)
+        pendingPhis.resize(nb);
+    if (provInMemo.size() < nb)
+        provInMemo.resize(nb);
+    for (size_t b = 0; b < nb; ++b) {
+        pendingPhis[b].clear();
+        provInMemo[b].clear();
+    }
     replacedBy.assign(static_cast<size_t>(func.numVregs()), NO_VREG);
 
     computeLocal();
@@ -691,6 +804,7 @@ Gvn::run()
         blk.instrs.insert(blk.instrs.begin(),
                           std::make_move_iterator(pend.begin()),
                           std::make_move_iterator(pend.end()));
+        pend.clear();
     }
     auto resolve = [&](Vreg v) {
         while (v < static_cast<Vreg>(replacedBy.size()) &&
@@ -713,9 +827,16 @@ Gvn::run()
 bool
 gvn(Function &func)
 {
+    PassScratch scratch;
+    return gvn(func, scratch);
+}
+
+bool
+gvn(Function &func, PassScratch &scratch)
+{
     AREGION_ASSERT(func.ssaForm, "gvn requires SSA form");
-    Gvn pass(func);
-    return pass.run();
+    return scratch.getForFunction<Gvn>().run(
+        func, scratch.get<DataflowRows>());
 }
 
 } // namespace aregion::opt

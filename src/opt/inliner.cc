@@ -17,6 +17,7 @@
 
 #include "ir/dominators.hh"
 #include "ir/loops.hh"
+#include "ir/scratch.hh"
 #include "vm/layout.hh"
 
 namespace aregion::opt {
@@ -268,6 +269,14 @@ bool
 inlineCalls(Module &mod, const OptContext &ctx,
             std::vector<vm::MethodId> *touched)
 {
+    PassScratch own;
+    PassScratch &scratch = ctx.scratch ? *ctx.scratch : own;
+    struct InlineState
+    {
+        RpoBuffer rpo;
+        std::vector<CallSite> sites;
+    };
+    InlineState &st = scratch.get<InlineState>();
     bool changed = false;
     for (auto &[mid, caller] : mod.funcs) {
         // Callee splicing renumbers vregs without phi maintenance;
@@ -275,7 +284,7 @@ inlineCalls(Module &mod, const OptContext &ctx,
         // driver lowers out of SSA before structural passes run).
         AREGION_ASSERT(!caller.ssaForm,
                        "inlineCalls requires conventional form");
-        const int initial_size = caller.countInstrs();
+        const int initial_size = caller.countInstrs(scratch);
         int grown = 0;
         bool caller_any = false;
         bool caller_changed = true;
@@ -285,8 +294,9 @@ inlineCalls(Module &mod, const OptContext &ctx,
             caller_changed = false;
 
             // Collect sites hottest-first.
-            std::vector<CallSite> sites;
-            for (int b : caller.reversePostOrder()) {
+            std::vector<CallSite> &sites = st.sites;
+            sites.clear();
+            for (int b : st.rpo.compute(caller)) {
                 const Block &blk = caller.block(b);
                 if (blk.instrs.size() < 2)
                     continue;
@@ -341,7 +351,7 @@ inlineCalls(Module &mod, const OptContext &ctx,
                 const Function &callee = fit->second;
                 if (!callee.regions.empty())
                     continue;       // never inline formed regions
-                const int callee_size = callee.countInstrs();
+                const int callee_size = callee.countInstrs(scratch);
                 int limit = ctx.inlineCalleeLimit;
                 if (ctx.partialInlineLimit > limit &&
                     isEncapsulatable(callee, ctx)) {
@@ -356,7 +366,7 @@ inlineCalls(Module &mod, const OptContext &ctx,
                 if (grown + callee_size > ctx.inlineGrowthLimit)
                     continue;
                 spliceInline(caller, callee, site.block);
-                grown = caller.countInstrs() - initial_size;
+                grown = caller.countInstrs(scratch) - initial_size;
                 caller_changed = true;
                 caller_any = true;
                 changed = true;
@@ -364,7 +374,7 @@ inlineCalls(Module &mod, const OptContext &ctx,
             }
         }
         if (caller_any) {
-            caller.compact();
+            caller.compact(scratch);
             if (touched != nullptr)
                 touched->push_back(mid);
         }

@@ -67,12 +67,13 @@ checkAfter(const char *passName, const ir::Function &func)
 
 bool
 timed(std::atomic<uint64_t> &slot, const char *passName,
-      bool (*pass)(ir::Function &), ir::Function &func)
+      bool (*pass)(ir::Function &, ir::PassScratch &),
+      ir::Function &func, ir::PassScratch &scratch)
 {
     bool changed;
     {
         telemetry::ScopedTimerUs timer(slot);
-        changed = pass(func);
+        changed = pass(func, scratch);
     }
     checkAfter(passName, func);
     return changed;
@@ -84,6 +85,8 @@ bool
 runScalarPipeline(ir::Function &func, const OptContext &ctx)
 {
     PassTimers &t = PassTimers::get();
+    ir::PassScratch own;
+    ir::PassScratch &scratch = ctx.scratch ? *ctx.scratch : own;
 
     // Structural passes (inlining, unrolling) hand us conventional
     // form; reruns from the same optimizeModule sweep may already be
@@ -91,7 +94,7 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
     const bool wasSsa = func.ssaForm;
     if (!wasSsa) {
         telemetry::ScopedTimerUs timer(t.ssa);
-        ir::buildSSA(func);
+        ir::buildSSA(func, scratch);
         checkAfter("ssa-build", func);
     }
 
@@ -99,10 +102,10 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
     for (int round = 0; round < ctx.maxScalarIters; ++round) {
         bool changed = false;
         changed |= timed(t.simplifyCfg, "simplify-cfg", simplifyCfg,
-                         func);
-        changed |= timed(t.sccp, "sccp", sccp, func);
-        changed |= timed(t.gvn, "gvn", gvn, func);
-        changed |= timed(t.dce, "dce", deadCodeElim, func);
+                         func, scratch);
+        changed |= timed(t.sccp, "sccp", sccp, func, scratch);
+        changed |= timed(t.gvn, "gvn", gvn, func, scratch);
+        changed |= timed(t.dce, "dce", deadCodeElim, func, scratch);
         changed_any |= changed;
         if (!changed)
             break;
@@ -110,9 +113,10 @@ runScalarPipeline(ir::Function &func, const OptContext &ctx)
 
     if (!wasSsa) {
         telemetry::ScopedTimerUs timer(t.ssa);
-        ir::destroySSA(func);
+        ir::destroySSA(func, scratch);
         checkAfter("ssa-destroy", func);
     }
+    scratch.endFunction();
     return changed_any;
 }
 

@@ -15,6 +15,10 @@
  * of SSA before returning, so callers (region formation, translation,
  * machine-code emission) never see phis. The structural passes
  * (inlining, unrolling) operate on conventional form.
+ *
+ * Each scalar pass takes its analysis storage from an
+ * ir::PassScratch; the overloads without one build a scratch of
+ * their own (tests, one-off callers).
  */
 
 #ifndef AREGION_OPT_PASS_HH
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "ir/ir.hh"
+#include "ir/scratch.hh"
 #include "vm/profile.hh"
 
 namespace aregion::opt {
@@ -58,12 +63,18 @@ struct OptContext
     double unrollMinTrip = 4.0;
     /** Scalar pipeline fixpoint bound. */
     int maxScalarIters = 8;
+    /** Analysis storage for the passes (ir/scratch.hh), not a
+     *  tunable: core::compileProgram points it at a PassScratch it
+     *  owns for the length of one compile. Null: every
+     *  runScalarPipeline call uses a scratch of its own. */
+    ir::PassScratch *scratch = nullptr;
 };
 
 /** CFG cleanup: thread trivial jumps, merge straight-line pairs,
  *  collapse same-target branches, drop unreachable blocks. Phi-aware;
  *  runs on SSA and conventional form alike. */
 bool simplifyCfg(ir::Function &func);
+bool simplifyCfg(ir::Function &func, ir::PassScratch &scratch);
 
 /** Sparse conditional constant propagation (SSA only): constant and
  *  copy lattices over executable edges, folding, algebraic
@@ -71,6 +82,7 @@ bool simplifyCfg(ir::Function &func);
  *  copy forwarding (subsumes the old constant-fold + copy-prop
  *  pair). */
 bool sccp(ir::Function &func);
+bool sccp(ir::Function &func, ir::PassScratch &scratch);
 
 /** Global value numbering over available expressions (SSA only):
  *  arithmetic, loads with field-sensitive kills and store-to-load
@@ -80,11 +92,13 @@ bool sccp(ir::Function &func);
  *  The isolation guarantee of atomic regions is honoured: safepoints
  *  and monitor operations kill loads only outside regions. */
 bool gvn(ir::Function &func);
+bool gvn(ir::Function &func, ir::PassScratch &scratch);
 
 /** Mark-and-sweep dead code elimination (asserts and checks are
  *  essential and never removed here). Exact in SSA form — dead phi
  *  cycles are removed — and conservative on conventional form. */
 bool deadCodeElim(ir::Function &func);
+bool deadCodeElim(ir::Function &func, ir::PassScratch &scratch);
 
 /** Profile-guided inlining of static calls plus guarded
  *  devirtualization of monomorphic virtual call sites (module

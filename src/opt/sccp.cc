@@ -28,6 +28,7 @@
 
 #include <optional>
 
+#include "ir/scratch.hh"
 #include "support/logging.hh"
 #include "vm/arith.hh"
 
@@ -114,53 +115,67 @@ isBinop(Op op)
     }
 }
 
+/** Buffers shared by the SCCP calls of one scalar pipeline run
+ *  (PassScratch::getForFunction). */
+struct SccpState
+{
+    RpoBuffer rpo;
+    std::vector<LatVal> value;
+    std::vector<uint8_t> edgeExec, blockExec, hasDef;
+    /** name -> instructions using it, as (block, index) pairs. */
+    Csr<std::pair<int, int>> uses;
+    std::vector<std::pair<int, int>> flowWork;  // (block, succIdx)
+    std::vector<Vreg> ssaWork;
+    std::vector<Instr> loweredPhis;
+    std::vector<Vreg> fwd;
+};
+
 /** Solver state: value per name, executability per CFG edge. */
 struct Solver
 {
     Function &func;
-    std::vector<LatVal> value;
+    std::vector<LatVal> &value;
     /** Per block: bitmask of executable outgoing edges (by succ
      *  index; blocks have at most 2 successors). */
-    std::vector<uint8_t> edgeExec;
-    std::vector<uint8_t> blockExec;
-    /** Defining site per name (block, instr index), or block -1 for
-     *  entry values. */
-    std::vector<int> defBlk;
-    std::vector<int> defIdx;
-    /** name -> instructions using it, as (block, index) pairs. */
-    std::vector<std::vector<std::pair<int, int>>> uses;
+    std::vector<uint8_t> &edgeExec;
+    std::vector<uint8_t> &blockExec;
+    const Csr<std::pair<int, int>> &uses;
+    std::vector<std::pair<int, int>> &flowWork;
+    std::vector<Vreg> &ssaWork;
 
-    std::vector<std::pair<int, int>> flowWork;  // (block, succIdx)
-    std::vector<Vreg> ssaWork;
-
-    explicit Solver(Function &f) : func(f)
+    Solver(Function &f, SccpState &st)
+        : func(f), value(st.value), edgeExec(st.edgeExec),
+          blockExec(st.blockExec), uses(st.uses), flowWork(st.flowWork),
+          ssaWork(st.ssaWork)
     {
         const size_t nv = static_cast<size_t>(func.numVregs());
-        value.resize(nv);
-        defBlk.assign(nv, -1);
-        defIdx.assign(nv, -1);
-        uses.resize(nv);
+        value.assign(nv, LatVal::top());
         edgeExec.assign(static_cast<size_t>(func.numBlocks()), 0);
         blockExec.assign(static_cast<size_t>(func.numBlocks()), 0);
-        for (int b : func.reversePostOrder()) {
-            const Block &blk = func.block(b);
-            for (size_t i = 0; i < blk.instrs.size(); ++i) {
-                const Instr &in = blk.instrs[i];
-                if (in.dst != NO_VREG) {
-                    defBlk[static_cast<size_t>(in.dst)] = b;
-                    defIdx[static_cast<size_t>(in.dst)] =
-                        static_cast<int>(i);
-                }
-                for (Vreg s : in.srcs) {
-                    uses[static_cast<size_t>(s)].emplace_back(
-                        b, static_cast<int>(i));
-                }
+        flowWork.clear();
+        ssaWork.clear();
+        std::vector<uint8_t> &has_def = st.hasDef;
+        has_def.assign(nv, 0);
+        const std::vector<int> &rpo = st.rpo.compute(func);
+        for (int b : rpo) {
+            for (const Instr &in : func.block(b).instrs) {
+                if (in.dst != NO_VREG)
+                    has_def[static_cast<size_t>(in.dst)] = 1;
             }
         }
+        st.uses.build(nv, [&](auto &&emit) {
+            for (int b : rpo) {
+                const Block &blk = func.block(b);
+                for (size_t i = 0; i < blk.instrs.size(); ++i) {
+                    for (Vreg s : blk.instrs[i].srcs)
+                        emit(s, {b, static_cast<int>(i)});
+                }
+            }
+        });
         // Entry values: arguments are unknown, everything else reads
         // the zero-initialised frame slot.
         for (int v = 0; v < func.numVregs(); ++v) {
-            if (defBlk[static_cast<size_t>(v)] == -1) {
+            if (!has_def[static_cast<size_t>(v)]) {
                 value[static_cast<size_t>(v)] =
                     v < func.numArgs ? LatVal::bot() : LatVal::c(0);
             }
@@ -270,8 +285,7 @@ struct Solver
             while (!ssaWork.empty()) {
                 const Vreg v = ssaWork.back();
                 ssaWork.pop_back();
-                for (const auto &[ub, ui] :
-                     uses[static_cast<size_t>(v)]) {
+                for (const auto &[ub, ui] : uses.of(v)) {
                     if (blockExec[static_cast<size_t>(ub)])
                         visitInstr(ub, func.block(ub).instrs[
                             static_cast<size_t>(ui)]);
@@ -329,12 +343,14 @@ dropPhiSlot(Block &blk, int pred)
 
 /** Forward every use through mov chains, then delete the movs. */
 bool
-forwardCopies(Function &func)
+forwardCopies(Function &func, SccpState &st)
 {
     const size_t nv = static_cast<size_t>(func.numVregs());
-    std::vector<Vreg> fwd(nv, NO_VREG);
+    std::vector<Vreg> &fwd = st.fwd;
+    fwd.assign(nv, NO_VREG);
     bool any = false;
-    for (int b : func.reversePostOrder()) {
+    const std::vector<int> &rpo = st.rpo.compute(func);
+    for (int b : rpo) {
         for (const Instr &in : func.block(b).instrs) {
             if (in.op == Op::Mov && in.dst != NO_VREG) {
                 fwd[static_cast<size_t>(in.dst)] = in.s0();
@@ -349,18 +365,21 @@ forwardCopies(Function &func)
             v = fwd[static_cast<size_t>(v)];
         return v;
     };
-    for (int b : func.reversePostOrder()) {
-        Block &blk = func.block(b);
-        std::vector<Instr> out;
-        out.reserve(blk.instrs.size());
-        for (Instr &in : blk.instrs) {
+    for (int b : rpo) {
+        std::vector<Instr> &instrs = func.block(b).instrs;
+        size_t kept = 0;
+        for (size_t i = 0; i < instrs.size(); ++i) {
+            Instr &in = instrs[i];
             if (in.op == Op::Mov)
                 continue;
             for (Vreg &s : in.srcs)
                 s = resolve(s);
-            out.push_back(std::move(in));
+            if (kept != i)
+                instrs[kept] = std::move(in);
+            ++kept;
         }
-        blk.instrs = std::move(out);
+        instrs.erase(instrs.begin() + static_cast<long>(kept),
+                     instrs.end());
     }
     return true;
 }
@@ -370,12 +389,21 @@ forwardCopies(Function &func)
 bool
 sccp(Function &func)
 {
+    PassScratch scratch;
+    return sccp(func, scratch);
+}
+
+bool
+sccp(Function &func, PassScratch &scratch)
+{
     AREGION_ASSERT(func.ssaForm, "sccp requires SSA form");
-    Solver solver(func);
+    SccpState &st = scratch.getForFunction<SccpState>();
+    Solver solver(func, st);
     solver.run();
 
     bool changed = false;
-    const auto rpo = func.reversePostOrder();
+    // The solver's RPO; rewriting edits edges, not this list.
+    const std::vector<int> &rpo = st.rpo.order;
     for (int b : rpo) {
         if (!solver.blockExec[static_cast<size_t>(b)])
             continue;   // pruned below once const branches rewrite
@@ -400,24 +428,33 @@ sccp(Function &func)
             changed = true;
         };
 
-        std::vector<Instr> out;
-        out.reserve(blk.instrs.size());
+        // Rewritten in place: `kept` instructions survive so far.
         // Phis whose meet is constant become Const defs; they must
-        // slot in after the surviving phis to keep phis leading.
-        std::vector<Instr> loweredPhis;
-        for (Instr &in : blk.instrs) {
+        // slot in after the surviving phis to keep phis leading
+        // (they fit: they came from the positions already passed).
+        std::vector<Instr> &instrs = blk.instrs;
+        std::vector<Instr> &loweredPhis = st.loweredPhis;
+        loweredPhis.clear();
+        size_t kept = 0;
+        auto keep = [&](Instr &in) {
+            if (&instrs[kept] != &in)
+                instrs[kept] = std::move(in);
+            ++kept;
+        };
+        for (size_t idx = 0; idx < instrs.size(); ++idx) {
+            Instr &in = instrs[idx];
             if (in.op == Op::Phi) {
                 if (const auto v = cst(in.dst)) {
                     to_const(in, *v);
                     loweredPhis.push_back(std::move(in));
                 } else {
-                    out.push_back(std::move(in));
+                    keep(in);
                 }
                 continue;
             }
             if (!loweredPhis.empty()) {
                 for (Instr &phi : loweredPhis)
-                    out.push_back(std::move(phi));
+                    keep(phi);
                 loweredPhis.clear();
             }
             if (isBinop(in.op)) {
@@ -488,15 +525,16 @@ sccp(Function &func)
                     changed = true;
                 }
             }
-            out.push_back(std::move(in));
+            keep(in);
         }
-        blk.instrs = std::move(out);
+        instrs.erase(instrs.begin() + static_cast<long>(kept),
+                     instrs.end());
     }
 
-    changed |= forwardCopies(func);
+    changed |= forwardCopies(func, st);
 
     if (changed)
-        func.compact();
+        func.compact(scratch);
     return changed;
 }
 

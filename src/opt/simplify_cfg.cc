@@ -1,7 +1,7 @@
 /**
  * @file
  * CFG cleanup: collapse same-target branches, thread trivial jumps,
- * merge straight-line pairs, drop unreachable blocks.
+ * merge straight-line chains, drop unreachable blocks.
  *
  * The pass runs both before SSA construction (on translate output)
  * and inside the SSA pipeline, so every edge edit keeps phi inputs
@@ -16,6 +16,7 @@
 #include "opt/pass.hh"
 
 #include "ir/cfg.hh"
+#include "ir/scratch.hh"
 
 namespace aregion::opt {
 
@@ -154,20 +155,129 @@ renamePhiPred(Block &blk, int from, int to)
     }
 }
 
+/** Reused buffers of one compile's simplifyCfg calls. */
+struct SimplifyState
+{
+    RpoBuffer rpo;
+    /** Predecessor edge count per block, over every block (reachable
+     *  or not, as Function::computePreds() counts them). */
+    std::vector<int> predCount;
+    /** Blocks merged into their predecessor in this sweep. */
+    std::vector<uint8_t> merged;
+};
+
+/** Can b absorb its single successor? (Straight-line pair b -> s
+ *  where s has b as its only predecessor; region boundaries are kept
+ *  intact.) */
+bool
+canMerge(const Function &func, const std::vector<int> &pred_count,
+         int b)
+{
+    const Block &blk = func.block(b);
+    if (blk.succs.size() != 1 || blk.terminator().op != Op::Jump)
+        return false;
+    const int s = blk.succs[0];
+    if (s == b || s == func.entry)
+        return false;
+    const Block &next = func.block(s);
+    if (pred_count[static_cast<size_t>(s)] != 1)
+        return false;
+    if (isRegionEntry(blk) || isRegionEntry(next))
+        return false;
+    if (blk.regionId != next.regionId)
+        return false;
+    if (endsWithCall(blk))
+        return false;
+    // Keep synchronized-method epilogues (MonitorExit blocks)
+    // separate from their Ret blocks: region formation stops at Ret
+    // blocks but must replicate the epilogue so SLE sees balanced
+    // monitor pairs.
+    bool has_monitor_exit = false;
+    for (const Instr &in : blk.instrs)
+        has_monitor_exit |= in.op == Op::MonitorExit;
+    if (has_monitor_exit && next.terminator().op == Op::Ret)
+        return false;
+    // Don't merge into a region alt block (reached by the abort
+    // exception edge, which preds don't see).
+    for (const RegionInfo &r : func.regions) {
+        if (r.altBlock == s)
+            return false;
+    }
+    return true;
+}
+
+/** Append b's single successor s to b, leaving s a dead tombstone.
+ *  Every other block keeps its predecessor count: s's out-edges now
+ *  leave b instead. */
+int
+mergeSuccessor(Function &func, int b)
+{
+    Block &blk = func.block(b);
+    const int s = blk.succs[0];
+    Block &next = func.block(s);
+    // A single-predecessor block's phis are arity-1; they lower to
+    // plain copies at the merge point.
+    for (Instr &in : next.instrs) {
+        if (in.op != Op::Phi)
+            break;
+        in.op = Op::Mov;
+        in.srcs.resize(1);
+        in.phiBlocks.clear();
+    }
+    blk.instrs.pop_back();      // drop the jump
+    blk.instrs.insert(blk.instrs.end(),
+                      std::make_move_iterator(next.instrs.begin()),
+                      std::make_move_iterator(next.instrs.end()));
+    blk.succs = next.succs;
+    blk.succCount = next.succCount;
+    // Successor phis now see the merged block as their predecessor.
+    for (int t : blk.succs)
+        renamePhiPred(func.block(t), s, b);
+    next.instrs.clear();
+    next.succs.clear();
+    next.instrs.emplace_back().op = Op::Ret;    // dead tombstone
+    return s;
+}
+
 } // namespace
 
 bool
 simplifyCfg(Function &func)
 {
+    PassScratch scratch;
+    return simplifyCfg(func, scratch);
+}
+
+/*
+ * Each round runs the rewrites (collapse, thread, entry) once and
+ * then merges straight-line pairs. The result must equal restarting
+ * the whole sweep after every single merge, for at most 63 rounds
+ * with each merge counting as one. While the rewrites still change
+ * the CFG, a round therefore merges only the first mergeable pair in
+ * RPO. Once a round's rewrites change nothing, no merge can enable a
+ * rewrite: a merged block is a trivial jump only if both halves
+ * were, and a quiet threading round leaves no reachable trivial jump
+ * whose successor is one. The rest of the budget is then spent in
+ * one RPO sweep that merges whole chains in place. The RPO stays
+ * valid because a merged-away block was reachable only through its
+ * predecessor, and merges never change another block's predecessor
+ * count.
+ */
+bool
+simplifyCfg(Function &func, PassScratch &scratch)
+{
+    constexpr int kMaxRounds = 63;
+    SimplifyState &st = scratch.get<SimplifyState>();
     bool changed_any = false;
-    bool changed = true;
-    int guard = 0;
-    while (changed && ++guard < 64) {
-        changed = false;
+    for (int round = 1; round <= kMaxRounds; ++round) {
+        bool rewritten = false;
+        // Collapsing a branch keeps reachability and DFS order, so
+        // one RPO serves both the collapse and the threading sweep.
+        const std::vector<int> &rpo = st.rpo.compute(func);
 
         // Collapse branches whose arms agree (one phi slot per
         // dropped duplicate edge goes with it).
-        for (int b : func.reversePostOrder()) {
+        for (int b : rpo) {
             Block &blk = func.block(b);
             if (blk.terminator().op == Op::Branch &&
                 blk.succs.size() == 2 && blk.succs[0] == blk.succs[1] &&
@@ -184,14 +294,14 @@ simplifyCfg(Function &func)
                         : blk.execCount;
                 blk.succCount = {total};
                 dropPhiSlot(func.block(blk.succs[0]), b);
-                changed = true;
+                rewritten = true;
             }
         }
 
         // Thread edges through trivial jump blocks. Region entries
         // are skipped: their second successor is the abort exception
         // edge and must stay equal to RegionInfo::altBlock.
-        for (int b : func.reversePostOrder()) {
+        for (int b : rpo) {
             Block &blk = func.block(b);
             if (isRegionEntry(blk))
                 continue;
@@ -212,7 +322,7 @@ simplifyCfg(Function &func)
                     addThreadedPhiSlot(func.block(next), target.id,
                                        blk.id);
                     s = next;
-                    changed = true;
+                    rewritten = true;
                 }
             }
         }
@@ -223,82 +333,38 @@ simplifyCfg(Function &func)
             // The new entry must not carry phis: the implicit
             // function-entry edge has no slot to populate.
             func.entry = func.block(func.entry).succs[0];
-            changed = true;
+            rewritten = true;
         }
 
-        // Merge straight-line pairs b -> s where s has b as its only
-        // predecessor. Region boundaries are kept intact.
-        const auto preds = func.computePreds();
-        for (int b : func.reversePostOrder()) {
-            Block &blk = func.block(b);
-            if (blk.succs.size() != 1 ||
-                blk.terminator().op != Op::Jump) {
+        // Merge straight-line pairs.
+        const std::vector<int> &order =
+            rewritten ? st.rpo.compute(func) : rpo;
+        st.predCount.assign(static_cast<size_t>(func.numBlocks()), 0);
+        for (int b = 0; b < func.numBlocks(); ++b) {
+            for (int s : func.block(b).succs)
+                st.predCount[static_cast<size_t>(s)]++;
+        }
+        st.merged.assign(static_cast<size_t>(func.numBlocks()), 0);
+        const int budget = rewritten ? 1 : kMaxRounds - round + 1;
+        int merges = 0;
+        for (size_t i = 0; i < order.size() && merges < budget; ++i) {
+            const int b = order[i];
+            if (st.merged[static_cast<size_t>(b)])
                 continue;
+            while (merges < budget && canMerge(func, st.predCount, b)) {
+                st.merged[static_cast<size_t>(mergeSuccessor(func, b))] =
+                    1;
+                ++merges;
             }
-            const int s = blk.succs[0];
-            if (s == b || s == func.entry)
-                continue;
-            Block &next = func.block(s);
-            if (preds[static_cast<size_t>(s)].size() != 1)
-                continue;
-            if (isRegionEntry(blk) || isRegionEntry(next))
-                continue;
-            if (blk.regionId != next.regionId)
-                continue;
-            if (endsWithCall(blk))
-                continue;
-            // Keep synchronized-method epilogues (MonitorExit blocks)
-            // separate from their Ret blocks: region formation stops
-            // at Ret blocks but must replicate the epilogue so SLE
-            // sees balanced monitor pairs.
-            bool has_monitor_exit = false;
-            for (const Instr &in : blk.instrs)
-                has_monitor_exit |= in.op == Op::MonitorExit;
-            if (has_monitor_exit && next.terminator().op == Op::Ret)
-                continue;
-            // Don't merge into a region alt block (reached by the
-            // abort exception edge, which preds don't see).
-            bool is_alt = false;
-            for (const RegionInfo &r : func.regions)
-                is_alt |= r.altBlock == s;
-            if (is_alt)
-                continue;
-
-            // A single-predecessor block's phis are arity-1; they
-            // lower to plain copies at the merge point.
-            for (size_t i = 0; i < next.instrs.size(); ++i) {
-                Instr &in = next.instrs[i];
-                if (in.op != Op::Phi)
-                    break;
-                in.op = Op::Mov;
-                in.srcs.resize(1);
-                in.phiBlocks.clear();
-            }
-            blk.instrs.pop_back();      // drop the jump
-            blk.instrs.insert(blk.instrs.end(), next.instrs.begin(),
-                              next.instrs.end());
-            blk.succs = next.succs;
-            blk.succCount = next.succCount;
-            // Successor phis now see the merged block as their
-            // predecessor.
-            for (int t : blk.succs)
-                renamePhiPred(func.block(t), s, b);
-            next.instrs.clear();
-            next.succs.clear();
-            {
-                Instr ret;
-                ret.op = Op::Ret;
-                next.instrs.push_back(std::move(ret)); // dead tombstone
-            }
-            changed = true;
-            break;  // preds are stale; restart the sweep
         }
 
-        changed_any |= changed;
+        changed_any |= rewritten || merges > 0;
+        if (!rewritten)
+            break;  // merges (if any) ran to completion above
     }
 
     if (changed_any)
-        func.compact();
+        func.compact(scratch);
     return changed_any;
 }
 

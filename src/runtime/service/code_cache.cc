@@ -1,6 +1,7 @@
 #include "runtime/service/code_cache.hh"
 
 #include <string>
+#include <string_view>
 
 #include "ir/printer.hh"
 #include "opt/pass.hh"
@@ -42,7 +43,7 @@ struct Fnv
         u64(bits);
     }
 
-    void str(const std::string &s)
+    void str(std::string_view s)
     {
         u64(s.size());
         for (char c : s)
@@ -205,9 +206,12 @@ uint64_t
 codeChecksum(const core::Compiled &compiled)
 {
     Fnv h;
+    std::string text;   // one buffer for every function's listing
     for (const auto &[mid, func] : compiled.mod.funcs) {
         h.i64(mid);
-        h.str(ir::toString(func));
+        text.clear();
+        ir::appendTo(text, func);
+        h.str(text);
     }
     return h.state;
 }

@@ -23,6 +23,15 @@ class DenseBitset
     {
     }
 
+    /** Resize to `bits` bits, all clear, reusing the word storage
+     *  when it is already large enough. */
+    void
+    reset(size_t bits)
+    {
+        words.assign((bits + 63) / 64, 0);
+        numBits = bits;
+    }
+
     void set(size_t i) { words[i / 64] |= 1ull << (i % 64); }
     void clear(size_t i) { words[i / 64] &= ~(1ull << (i % 64)); }
     bool test(size_t i) const { return words[i / 64] >> (i % 64) & 1; }
@@ -88,6 +97,18 @@ class DenseBitset
     std::vector<uint64_t> words;
     size_t numBits = 0;
 };
+
+/** Size the first `n` rows to `bits` clear bits. The row vector
+ *  grows but never shrinks, so every row keeps its storage for the
+ *  next, possibly larger, problem. */
+inline void
+resetRows(std::vector<DenseBitset> &rows, size_t n, size_t bits)
+{
+    if (rows.size() < n)
+        rows.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        rows[i].reset(bits);
+}
 
 } // namespace aregion::support
 

@@ -160,11 +160,16 @@ inline constexpr const char *kTimingLeakLines =
 inline constexpr const char *kTimingLeakBranches =
     "timing.leak.branches";
 
-// --- jit.* (src/runtime/jit.cc, src/opt/pass.cc) -----------------
+// --- jit.* (src/runtime/jit.cc, src/core/compiler.cc, src/opt/pass.cc)
 inline constexpr const char *kJitRuns = "jit.runs";
 inline constexpr const char *kJitRecompiles = "jit.recompiles";
 inline constexpr const char *kJitProfileUs = "jit.profile_us";
 inline constexpr const char *kJitCompileUs = "jit.compile_us";
+// Parts of jit.compile_us (src/core/compiler.cc): bytecode -> HIR
+// translation, and region formation with its region-only passes
+// (their scalar cleanups count under jit.pass.*).
+inline constexpr const char *kJitTranslateUs = "jit.translate_us";
+inline constexpr const char *kJitRegionUs = "jit.region_us";
 inline constexpr const char *kJitMachineUs = "jit.machine_us";
 // Cumulative per-pass optimizer time (opt/pass.cc pipelines).
 // Schema v2 (SSA pipeline): constant_fold/copy_prop became sccp_us,
@@ -336,7 +341,7 @@ catalogInfo()
           kTimingInjectMispredict, kTimingLeakRegions,
           kTimingLeakFlagged, kTimingLeakLines, kTimingLeakBranches,
           kJitRuns, kJitRecompiles, kJitProfileUs, kJitCompileUs,
-          kJitMachineUs, kJitPassSsaUs, kJitPassSimplifyCfgUs,
+          kJitTranslateUs, kJitRegionUs, kJitMachineUs, kJitPassSsaUs, kJitPassSimplifyCfgUs,
           kJitPassSccpUs, kJitPassGvnUs,
           kJitPassDceUs, kJitPassInlineUs, kJitPassUnrollUs,
           kResilienceStorms, kResilienceRecompiles,

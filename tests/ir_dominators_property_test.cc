@@ -162,8 +162,11 @@ TEST(DomProperty, IrDominanceFrontiersMatchDefinition)
     for (uint64_t seed = 200; seed < 240; ++seed) {
         const Function f = randomCfg(seed, 12);
         const DominatorTree doms(f);
-        const auto df = dominanceFrontiers(f, doms);
         const auto preds = f.computePreds();
+        PredLists pred_lists;
+        pred_lists.compute(f);
+        DominanceFrontiers df;
+        df.compute(f, doms, pred_lists);
         for (int b = 0; b < f.numBlocks(); ++b) {
             std::set<int> expect;
             if (doms.reachable(b)) {
@@ -181,8 +184,7 @@ TEST(DomProperty, IrDominanceFrontiersMatchDefinition)
                     }
                 }
             }
-            const std::set<int> got(df[static_cast<size_t>(b)].begin(),
-                                    df[static_cast<size_t>(b)].end());
+            const std::set<int> got(df.of(b).begin(), df.of(b).end());
             EXPECT_EQ(got, expect)
                 << "seed=" << seed << " block=" << b;
         }

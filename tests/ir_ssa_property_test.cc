@@ -142,7 +142,10 @@ TEST_P(SsaPhiSweep, IrPhiPlacementMatchesPrunedIdf)
 
     // Reference: liveness-pruned iterated dominance frontier.
     const ir::DominatorTree doms(f);
-    const auto df = ir::dominanceFrontiers(f, doms);
+    ir::PredLists preds;
+    preds.compute(f);
+    ir::DominanceFrontiers df;
+    df.compute(f, doms, preds);
     const auto liveIn = naiveLiveIn(f);
     std::set<int> expected;
     std::vector<int> worklist = defBlocks;
@@ -150,7 +153,7 @@ TEST_P(SsaPhiSweep, IrPhiPlacementMatchesPrunedIdf)
     while (!worklist.empty()) {
         const int b = worklist.back();
         worklist.pop_back();
-        for (int j : df[static_cast<size_t>(b)]) {
+        for (int j : df.of(b)) {
             if (expected.count(j) || !liveIn[static_cast<size_t>(j)])
                 continue;
             expected.insert(j);

@@ -96,14 +96,25 @@ runSccp(Function &f)
     destroySSA(f);
 }
 
-/** Identity sweep: (op, variable-side, const value, expect-gone). */
+/** Identity sweep: (op, variable-side, const value, expect-gone).
+ *  gtest names each case by dumping the struct's bytes, so the
+ *  padding is spelled out as zeroed members: left implicit, it held
+ *  whatever the stack did and the case names changed between builds. */
 struct IdentityCase
 {
+    IdentityCase(Op op, bool const_on_rhs, int64_t value, bool folds)
+        : op(op), const_on_rhs(const_on_rhs), value(value), folds(folds)
+    {
+    }
+
     Op op;
     bool const_on_rhs;
+    uint8_t pad0[3] = {};
     int64_t value;
     bool folds;
+    uint8_t pad1[7] = {};
 };
+static_assert(sizeof(IdentityCase) == 24, "IdentityCase has hidden padding");
 
 class IdentitySweep : public ::testing::TestWithParam<IdentityCase>
 {

@@ -238,7 +238,8 @@ TEST(CompileTelemetry, AggregateCoversPerPassTimers)
     const uint64_t total = reg.counterValue(keys::kJitCompileUs);
     uint64_t pass_sum = 0;
     for (const char *key :
-         {keys::kJitPassSsaUs, keys::kJitPassSimplifyCfgUs,
+         {keys::kJitTranslateUs, keys::kJitRegionUs,
+          keys::kJitPassSsaUs, keys::kJitPassSimplifyCfgUs,
           keys::kJitPassSccpUs, keys::kJitPassGvnUs,
           keys::kJitPassDceUs, keys::kJitPassInlineUs,
           keys::kJitPassUnrollUs}) {
@@ -248,7 +249,8 @@ TEST(CompileTelemetry, AggregateCoversPerPassTimers)
                             "the jit.compile_us aggregate";
     EXPECT_GE(total, pass_sum)
         << "aggregate compile time cannot be less than the sum of "
-           "the per-pass timers it decomposes into";
+           "the translate, region and per-pass timers it decomposes "
+           "into";
 }
 
 /** Runtime half of the enforcement triangle: after a full pipeline

@@ -43,11 +43,14 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
 # splice and free phi instructions aggressively, and the pass
 # verifier (AREGION_VERIFY_PASSES) re-walks the full IR after every
 # stage — prime territory for use-after-free and indexing errors.
+# CompileGolden adds whole compiles whose passes reuse one
+# PassScratch (ir/scratch.hh): a buffer read after the pass that
+# owns it reallocated it is a use-after-free ASan reports.
 AREGION_VERIFY_PASSES=1 \
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
     ctest --test-dir "$build" --output-on-failure \
-          -j "$(nproc 2>/dev/null || echo 4)" -R 'Ir|Opt'
+          -j "$(nproc 2>/dev/null || echo 4)" -R 'Ir|Opt|CompileGolden'
 
 # Bisimulation-oracle + leakage-observer leg (docs/RESILIENCE.md),
 # run explicitly for the same reason as the smoke above: a filtered
@@ -80,13 +83,15 @@ fi
 # worker threads and grid cells, so the SSA passes' shared telemetry
 # writes belong under TSan too. So does Jit: the bench grids profile
 # each workload once and share that profile read-only across every
-# grid worker compiling against it.
+# grid worker compiling against it. CompileGolden compiles one
+# program on two threads at once: each compile owns its PassScratch,
+# so any state the passes share would show up as a race.
 cmake --preset tsan -S "$root"
 cmake --build "$build_tsan" -j "$(nproc 2>/dev/null || echo 4)"
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$build_tsan" --output-on-failure \
           -j "$(nproc 2>/dev/null || echo 4)" \
-          -R 'Contention|Service|fuzz-smoke|Bisim|Leak|Ir|Opt|Jit'
+          -R 'Contention|Service|fuzz-smoke|Bisim|Leak|Ir|Opt|Jit|CompileGolden'
 
 echo "check_sanitizers: contention + service + ir/opt + jit + bisim/leak suites + fuzz smoke clean under TSan"

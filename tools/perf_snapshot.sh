@@ -14,8 +14,9 @@
 #       (default BENCH_simulator.json): fails when an aggregate
 #       counter is zero while its components are non-zero — the
 #       shape of the jit.compile_us=0 / jit.pass.*_us>0 aggregation
-#       bug — or when jit.compile_us < the sum of the per-pass
-#       timers it must cover.
+#       bug — or when jit.compile_us < jit.translate_us +
+#       jit.region_us + the sum of the per-pass timers, the disjoint
+#       parts it must cover.
 #
 # No arguments defaults to --simulator (the historical behaviour).
 # Each mode assumes the standard build directory layout; the cmake
@@ -69,14 +70,16 @@ check_compile_telemetry() {
             }
         }
         compile = counters["jit.compile_us"]
+        parts = counters["jit.translate_us"] + counters["jit.region_us"] + pass_sum
         if (pass_nonzero > 0 && compile == 0) {
             print "check-compile-telemetry: jit.compile_us is 0 while " \
                   pass_nonzero " jit.pass.* timers are non-zero" > "/dev/stderr"
             status = 1
         }
-        if (compile < pass_sum) {
+        if (compile < parts) {
             print "check-compile-telemetry: jit.compile_us (" compile \
-                  ") < sum of jit.pass.*_us (" pass_sum ")" > "/dev/stderr"
+                  ") < jit.translate_us + jit.region_us + sum of " \
+                  "jit.pass.*_us (" parts ")" > "/dev/stderr"
             status = 1
         }
         if (counters["profile.bytecodes"] > 0 && \
@@ -87,7 +90,8 @@ check_compile_telemetry() {
         }
         if (status == 0)
             print "check-compile-telemetry: " FILENAME " OK " \
-                  "(jit.compile_us=" compile " >= pass sum " pass_sum ")"
+                  "(jit.compile_us=" compile " >= translate + region + " \
+                  "pass sum " parts ")"
         exit status
     }' "$snap"
 }
