@@ -37,7 +37,9 @@ main(int argc, char **argv)
             rt::ExperimentConfig config;
             config.compiler =
                 core::CompilerConfig::atomicAggressiveInline();
-            config.adaptiveRecompile = adaptive;
+            if (adaptive)
+                config.resilience =
+                    rt::ResiliencePolicy::recompileOnce(config.controller);
             cells.push_back({wi, std::move(config)});
         }
     }

@@ -82,8 +82,9 @@ main()
         profile_prog, measure_prog, static_cfg);
 
     runtime::ExperimentConfig adaptive_cfg = static_cfg;
-    adaptive_cfg.adaptiveRecompile = true;
     adaptive_cfg.controller.abortRateThreshold = 0.01;
+    adaptive_cfg.resilience =
+        runtime::ResiliencePolicy::recompileOnce(adaptive_cfg.controller);
     const auto after = runtime::runExperiment(
         profile_prog, measure_prog, adaptive_cfg);
 

@@ -1,5 +1,7 @@
 #include "runtime/jit.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 #include "support/telemetry.hh"
 #include "support/telemetry_keys.hh"
@@ -262,70 +264,53 @@ runFromProfile(const vm::Profile &profile,
     core::Compiled compiled =
         core::compileProgram(measure_prog, profile, config.compiler);
 
-    // Stage 3: one machine run feeding every timing model.
-    // Resilience (when enabled) arms the machine's livelock guard for
-    // every run, including the first, unless the experiment already
+    // Stage 3: one machine run feeding every timing model. A
+    // recompiling policy arms the machine's livelock guard for every
+    // run, including the first, unless the experiment already
     // configured one.
+    const ResiliencePolicy &policy = config.resilience;
     hw::HwConfig hw_eff = config.hw;
-    if (config.resilience.enabled &&
-        config.resilience.livelockBound > 0 &&
+    if (policy.rounds > 0 && policy.livelockBound > 0 &&
         hw_eff.maxConsecutiveAborts == 0) {
-        hw_eff.maxConsecutiveAborts = config.resilience.livelockBound;
+        hw_eff.maxConsecutiveAborts = policy.livelockBound;
     }
     MachineRun run =
         executeCompiled(compiled, measure_prog, timings, hw_eff);
 
-    // Stage 4: adaptive recompilation on abort feedback. Its
-    // decisions read only the functional result, so they do not
-    // depend on which timing models are attached.
+    // Stage 4: recompile on abort feedback in bounded rounds
+    // (docs/RESILIENCE.md). Decisions read only the functional
+    // result, so they do not depend on the attached timing models.
     bool recompiled = false;
-    if (config.resilience.enabled && run.result.completed) {
-        // Abort-storm resilience: bounded recompilation rounds with
-        // exponential backoff, falling back to blacklisting methods
-        // whose regions cannot be repaired (docs/RESILIENCE.md).
+    if (policy.rounds > 0 && run.result.completed) {
         telemetry::ScopedSpan span("jit.resilience");
-        ResilienceTracker tracker(config.resilience);
+        ResilienceTracker tracker(policy);
+        // Starts from the caller's overrides and blacklist: the
+        // rounds only ever add to them.
         core::CompilerConfig updated = config.compiler;
-        const int round_cap = tracker.roundCap();
-        for (int round = 0; round < round_cap; ++round) {
+        auto &overrides = updated.region.warmOverrides;
+        const int rounds = std::min(policy.rounds, tracker.roundCap());
+        for (int round = 0; round < rounds; ++round) {
             const auto storms = tracker.stormingRegions(run.result);
             if (storms.empty())
                 break;
             const auto computed = config.controller.computeOverrides(
                 compiled.mod, toTelemetry(run.result));
-            const size_t before = updated.region.warmOverrides.size();
-            updated.region.warmOverrides.insert(computed.begin(),
-                                                computed.end());
-            const bool new_overrides =
-                updated.region.warmOverrides.size() > before;
-            const auto decision =
-                tracker.decide(storms, new_overrides);
-            if (!decision.recompile)
+            const size_t before = overrides.size();
+            overrides.insert(computed.begin(), computed.end());
+            if (!tracker.decide(storms, overrides.size() > before)
+                     .recompile)
                 continue;   // backing off this round
-            updated.region.blacklistMethods = tracker.blacklisted();
+            updated.region.blacklistMethods.insert(
+                tracker.blacklisted().begin(),
+                tracker.blacklisted().end());
             compiled = core::compileProgram(measure_prog, profile,
                                             updated);
             run = executeCompiled(compiled, measure_prog, timings,
                                   hw_eff);
             recompiled = true;
-            tracker.noteRecompile();
             registry.add(keys::kJitRecompiles, 1);
         }
         tracker.publishTelemetry();
-    } else if (config.adaptiveRecompile && run.result.completed) {
-        const auto overrides = config.controller.computeOverrides(
-            compiled.mod, toTelemetry(run.result));
-        if (!overrides.empty()) {
-            telemetry::ScopedSpan span("jit.adaptive");
-            core::CompilerConfig updated = config.compiler;
-            updated.region.warmOverrides = overrides;
-            compiled = core::compileProgram(measure_prog, profile,
-                                            updated);
-            run = executeCompiled(compiled, measure_prog, timings,
-                                  hw_eff);
-            recompiled = true;
-            registry.add(keys::kJitRecompiles, 1);
-        }
     }
     // Register the recompile counter even when it stays zero so the
     // exported schema is stable.

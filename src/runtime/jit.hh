@@ -7,8 +7,8 @@
  *   3. one functional machine run of the compiled module, its uop
  *      trace fanned out to every requested timing model of context 0
  *      (none: functional only),
- *   4. optional adaptive recompilation when abort telemetry exceeds
- *      the controller's threshold (Section 7), re-running stage 3,
+ *   4. optional recompile rounds on abort feedback (Section 7's
+ *      adaptive recompile is one round), re-running stage 3,
  *   5. marker-delimited sample metrics, weighted per phase, once per
  *      timing model.
  *
@@ -46,15 +46,11 @@ struct ExperimentConfig
     hw::HwConfig hw;
     hw::TimingConfig timing;    ///< runExperiment only
 
-    /** Re-compile with warm overrides when a region's abort rate
-     *  exceeds the adaptive controller's threshold, then re-run. */
-    bool adaptiveRecompile = false;
+    /** Maps abort telemetry to warm-override sites for recompiles. */
     core::AdaptiveController controller;
 
-    /** Abort-storm resilience (runtime/resilience.hh). When enabled
-     *  it subsumes the single-shot adaptive recompile above: the
-     *  controller's overrides feed a bounded retry loop with
-     *  backoff and method blacklisting. Off by default. */
+    /** Stage 4's recompile rounds (none by default) and storm
+     *  filter; see ResiliencePolicy::recompileOnce / stormGuard. */
     ResiliencePolicy resilience;
 };
 
@@ -98,7 +94,7 @@ struct RunMetrics
     uint64_t serializations = 0;
     uint64_t l1Misses = 0;
     uint64_t monitorFastEnters = 0;
-    bool recompiled = false;        ///< adaptive recompilation fired
+    bool recompiled = false;        ///< stage 4 recompiled the module
 
     uint64_t outputChecksum = 0;
     std::vector<SampleMetrics> samples;
@@ -120,7 +116,7 @@ vm::Profile profileProgram(const vm::Program &profile_prog);
 
 /**
  * Stages 2-5 from an existing profile. The compiled module (and any
- * adaptive recompile of it) runs once on the functional machine, its
+ * recompile of it) runs once on the functional machine, its
  * trace feeding one hw::TimingModel per entry of `timings`.
  * `config.timing` is not read.
  *

@@ -83,7 +83,6 @@ ResilienceTracker::publishTelemetry() const
     namespace keys = telemetry::keys;
     auto &reg = telemetry::Registry::global();
     reg.add(keys::kResilienceStorms, stormCount);
-    reg.add(keys::kResilienceRecompiles, recompileCount);
     reg.add(keys::kResilienceBackoffs, backoffCount);
     reg.add(keys::kResilienceBlacklisted, blacklistSet.size());
 }

@@ -73,7 +73,7 @@ struct AdmissionPolicy
     /** Storm detection + strike budget. `storm.maxRecompiles` is the
      *  strike count after which a (tenant, method) is blacklisted;
      *  `storm.stormAbortRate` / `storm.minEntries` decide whether a
-     *  reported execution counts as a storm. `storm.enabled` is
+     *  reported execution counts as a storm. `storm.rounds` is
      *  ignored — constructing the controller opts in. */
     ResiliencePolicy storm;
 

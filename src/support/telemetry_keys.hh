@@ -186,13 +186,11 @@ inline constexpr const char *kJitPassUnrollUs =
     "jit.pass.unroll_us";
 
 // --- runtime.resilience.* (src/runtime/resilience.cc) ------------
-// Abort-storm handling: storms detected, bounded recompiles spent on
-// them, recompiles skipped while backing off, and regions given up
-// on (permanently non-speculative).
+// Abort-storm handling: storms detected, attempts skipped while
+// backing off, and methods given up on (permanently
+// non-speculative). Recompiles themselves count in jit.recompiles.
 inline constexpr const char *kResilienceStorms =
     "runtime.resilience.storms";
-inline constexpr const char *kResilienceRecompiles =
-    "runtime.resilience.recompiles";
 inline constexpr const char *kResilienceBackoffs =
     "runtime.resilience.backoffs";
 inline constexpr const char *kResilienceBlacklisted =
@@ -344,8 +342,8 @@ catalogInfo()
           kJitTranslateUs, kJitRegionUs, kJitMachineUs, kJitPassSsaUs, kJitPassSimplifyCfgUs,
           kJitPassSccpUs, kJitPassGvnUs,
           kJitPassDceUs, kJitPassInlineUs, kJitPassUnrollUs,
-          kResilienceStorms, kResilienceRecompiles,
-          kResilienceBackoffs, kResilienceBlacklisted,
+          kResilienceStorms, kResilienceBackoffs,
+          kResilienceBlacklisted,
           kResilienceBackoffSteps, kResilienceStarvationBoosts,
           kResilienceLivelockBreaks,
           kContentionCells, kContentionOracleChecks,

@@ -147,7 +147,7 @@ TEST_F(ResilienceTest, QuietRunMatchesLegacyPipeline)
     ASSERT_TRUE(base.completed);
 
     rt::ExperimentConfig guarded = plain;
-    guarded.resilience.enabled = true;
+    guarded.resilience = rt::ResiliencePolicy::stormGuard();
     const auto with = rt::runExperiment(prog, prog, guarded);
     ASSERT_TRUE(with.completed);
     // No storm: no recompilation, identical execution and output.
@@ -176,14 +176,14 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     ASSERT_EQ(fps.configure("machine.assert:p1=977"), 1);
 
     rt::ExperimentConfig storm = plain;
-    storm.resilience.enabled = true;
+    storm.resilience = rt::ResiliencePolicy::stormGuard();
     storm.resilience.maxRecompiles = 2;
     storm.resilience.minEntries = 8;
     storm.resilience.livelockBound = 16;
 
     const uint64_t storms0 = counter(keys::kResilienceStorms);
     const uint64_t black0 = counter(keys::kResilienceBlacklisted);
-    const uint64_t recomp0 = counter(keys::kResilienceRecompiles);
+    const uint64_t recomp0 = counter(keys::kJitRecompiles);
     const uint64_t backoff0 = counter(keys::kResilienceBackoffs);
     const uint64_t trips0 = counter(keys::kMachineLivelockTrips);
 
@@ -201,7 +201,7 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     EXPECT_GT(counter(keys::kResilienceStorms), storms0);
     EXPECT_GT(counter(keys::kResilienceBackoffs), backoff0);
     EXPECT_GE(counter(keys::kResilienceBlacklisted), black0 + 1);
-    EXPECT_GE(counter(keys::kResilienceRecompiles), recomp0 + 1);
+    EXPECT_GE(counter(keys::kJitRecompiles), recomp0 + 1);
 
     // The livelock guard (armed via livelockBound) tripped during
     // the storming runs, bounding wasted speculative work.
@@ -212,19 +212,42 @@ TEST_F(ResilienceTest, PermanentStormIsBlacklistedAndCompletes)
     EXPECT_LT(metrics.regionEntries, clean.regionEntries);
 }
 
-TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
+/**
+ * A drifting loop in main: every `rare_every`-th of 8000 iterations
+ * takes a branch the profile must see as cold when `rare_every` is
+ * large. With `tally`, main then calls a second method whose own
+ * loop sums 0..3999; *tally_out receives its id.
+ */
+Program
+driftProgram(int rare_every, MethodId *tally_out = nullptr)
 {
-    // Profile says a branch is cold; the measured program takes it
-    // ~10% of the time. With a storm threshold below that abort
-    // rate, resilience must repair the region through the adaptive
-    // controller's warm overrides — not condemn the method.
     ProgramBuilder pb;
+    MethodId tally = -1;
+    if (tally_out) {
+        tally = pb.declareMethod("tally", 1);
+        auto t = pb.define(tally);
+        const Reg j = t.constant(0);
+        const Reg acc = t.constant(0);
+        const Reg one = t.constant(1);
+        const Label loop = t.newLabel();
+        const Label done = t.newLabel();
+        t.bind(loop);
+        t.branchCmp(Bc::CmpGe, j, t.arg(0), done);
+        t.binopTo(Bc::Add, acc, acc, j);
+        t.binopTo(Bc::Add, j, j, one);
+        t.safepoint();
+        t.jump(loop);
+        t.bind(done);
+        t.ret(acc);
+        t.finish();
+        *tally_out = tally;
+    }
     const MethodId mm = pb.declareMethod("main", 0);
     auto mb = pb.define(mm);
     const Reg i = mb.constant(0);
     const Reg n = mb.constant(8000);
     const Reg one = mb.constant(1);
-    const Reg k = mb.constant(10);      // 10% "cold" path
+    const Reg k = mb.constant(rare_every);
     const Reg sum = mb.constant(0);
     const Label loop = mb.newLabel();
     const Label rare = mb.newLabel();
@@ -247,48 +270,36 @@ TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
     mb.jump(loop);
     mb.bind(done);
     mb.print(sum);
+    if (tally_out)
+        mb.print(mb.callStatic(tally, {mb.constant(4000)}));
     mb.retVoid();
     mb.finish();
     pb.setMain(mm);
-    const Program measure = pb.build();
-    verifyOrDie(measure);
+    Program prog = pb.build();
+    verifyOrDie(prog);
+    return prog;
+}
 
-    ProgramBuilder pb2;
-    const MethodId mm2 = pb2.declareMethod("main", 0);
-    auto m2 = pb2.define(mm2);
-    {
-        const Reg i2 = m2.constant(0);
-        const Reg n2 = m2.constant(8000);
-        const Reg one2 = m2.constant(1);
-        const Reg k2 = m2.constant(400);    // cold at profile time
-        const Reg sum2 = m2.constant(0);
-        const Label loop2 = m2.newLabel();
-        const Label rare2 = m2.newLabel();
-        const Label next2 = m2.newLabel();
-        const Label done2 = m2.newLabel();
-        m2.bind(loop2);
-        m2.branchCmp(Bc::CmpGe, i2, n2, done2);
-        const Reg rem2 = m2.binop(Bc::Rem, i2, k2);
-        const Reg zero2 = m2.constant(0);
-        const Reg hit2 = m2.cmp(Bc::CmpEq, rem2, zero2);
-        m2.branchIf(hit2, rare2);
-        m2.binopTo(Bc::Add, sum2, sum2, i2);
-        m2.jump(next2);
-        m2.bind(rare2);
-        m2.binopTo(Bc::Add, sum2, sum2, one2);
-        m2.jump(next2);
-        m2.bind(next2);
-        m2.binopTo(Bc::Add, i2, i2, one2);
-        m2.safepoint();
-        m2.jump(loop2);
-        m2.bind(done2);
-        m2.print(sum2);
-        m2.retVoid();
-        m2.finish();
+/** Region entries the run recorded in `method`. */
+uint64_t
+entriesIn(const rt::RunMetrics &m, int method)
+{
+    uint64_t entries = 0;
+    for (const auto &[key, stats] : m.machine.regions) {
+        if (key.first == method)
+            entries += stats.entries;
     }
-    pb2.setMain(mm2);
-    const Program profile_prog = pb2.build();
-    verifyOrDie(profile_prog);
+    return entries;
+}
+
+TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
+{
+    // Profile says a branch is cold; the measured program takes it
+    // ~10% of the time. With a storm threshold below that abort
+    // rate, resilience must repair the region through the adaptive
+    // controller's warm overrides — not condemn the method.
+    const Program measure = driftProgram(10);
+    const Program profile_prog = driftProgram(400);
 
     rt::ExperimentConfig plain;
     plain.compiler = core::CompilerConfig::atomic();
@@ -299,7 +310,7 @@ TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
         << "premise: drift causes an abort storm";
 
     rt::ExperimentConfig resil = plain;
-    resil.resilience.enabled = true;
+    resil.resilience = rt::ResiliencePolicy::stormGuard();
     resil.resilience.stormAbortRate = 0.05;
     resil.resilience.minEntries = 16;
 
@@ -313,6 +324,37 @@ TEST_F(ResilienceTest, DriftStormIsCuredByOverridesNotBlacklist)
     EXPECT_LT(after.regionAborts, before.regionAborts / 4);
     EXPECT_GT(after.regionEntries, 0u);
     EXPECT_EQ(counter(keys::kResilienceBlacklisted), black0);
+}
+
+TEST_F(ResilienceTest, CallerBlacklistSurvivesStormRecompile)
+{
+    // main storms on profile drift and is recompiled with overrides;
+    // tally, which the caller blacklisted, must stay region-free in
+    // the recompiled module too.
+    MethodId tally = -1;
+    const Program measure = driftProgram(10, &tally);
+    const Program profile_prog = driftProgram(400, &tally);
+
+    rt::ExperimentConfig plain;
+    plain.compiler = core::CompilerConfig::atomic();
+    plain.compiler.opt.inlineGrowthLimit = 0;   // keep tally apart
+    const auto before =
+        rt::runExperiment(profile_prog, measure, plain);
+    ASSERT_TRUE(before.completed);
+    ASSERT_GT(entriesIn(before, tally), 0u)
+        << "premise: tally forms its own region";
+
+    rt::ExperimentConfig guarded = plain;
+    guarded.compiler.region.blacklistMethods.insert(tally);
+    guarded.resilience = rt::ResiliencePolicy::stormGuard();
+    guarded.resilience.stormAbortRate = 0.05;
+    const auto after =
+        rt::runExperiment(profile_prog, measure, guarded);
+    ASSERT_TRUE(after.completed);
+    EXPECT_TRUE(after.recompiled);
+    EXPECT_EQ(after.outputChecksum, before.outputChecksum);
+    EXPECT_GT(after.regionEntries, 0u);
+    EXPECT_EQ(entriesIn(after, tally), 0u);
 }
 
 TEST_F(ResilienceTest, BlacklistedMethodSkipsRegionFormation)

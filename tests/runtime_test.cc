@@ -153,7 +153,7 @@ TEST(Jit, AdaptiveRecompileReducesAborts)
         << "premise: drift causes aborts";
 
     rt::ExperimentConfig adapt = no_adapt;
-    adapt.adaptiveRecompile = true;
+    adapt.resilience = rt::ResiliencePolicy::recompileOnce(adapt.controller);
     const auto after = rt::runExperiment(profile_prog, measure, adapt);
     ASSERT_TRUE(after.completed);
     EXPECT_TRUE(after.recompiled);
@@ -177,7 +177,8 @@ stagedCases()
     rt::ExperimentConfig plain;
     plain.compiler = core::CompilerConfig::atomicAggressiveInline();
     rt::ExperimentConfig adaptive = plain;
-    adaptive.adaptiveRecompile = true;
+    adaptive.resilience =
+        rt::ResiliencePolicy::recompileOnce(adaptive.controller);
     return {{"fop", plain}, {"pmd", adaptive}};
 }
 
@@ -222,7 +223,7 @@ TEST(Jit, FanOutMatchesOneRunPerTimingConfig)
         // could be feeding one model's numbers to all of them.
         EXPECT_NE(fanned[0].cycles, fanned[1].cycles);
         EXPECT_NE(fanned[0].cycles, fanned[2].cycles);
-        EXPECT_EQ(fanned[0].recompiled, c.config.adaptiveRecompile);
+        EXPECT_EQ(fanned[0].recompiled, c.config.resilience.rounds > 0);
     }
 }
 
